@@ -6,12 +6,14 @@ three Algorithm-1 loop configurations:
 
 * ``seed``  -- ``carry=off``: fresh ``enumerate_candidates`` + full
   re-score every step (the pre-carry behavior);
-* ``carry`` -- ``carry=on``: the :class:`~repro.core.pool
+* ``carry`` -- ``carry=on, lazy=off``: the :class:`~repro.core.pool
   .CandidatePool` maintains the candidate list across steps and the
-  engine delta-rescores only the merge-affected neighborhood;
-* ``lazy``  -- ``carry=on, lazy=on``: additionally selects the winner
-  through the lazy-greedy priority queue, re-scoring only popped
-  queue heads (sound by Prop 4.2.2 monotonicity).
+  engine delta-rescores only the merge-affected neighborhood (eager
+  selection);
+* ``lazy``  -- ``carry=on, lazy=on`` (the default): additionally
+  selects the winner through the lazy-greedy priority queue,
+  re-scoring only popped queue heads (sound by Prop 4.2.2
+  monotonicity).
 
 All modes must produce the identical merge sequence (asserted).  The
 table reports steps/second and the fraction of candidates freshly
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
 
     modes = [
         ("seed", dict(carry="off")),
-        ("carry", dict(carry="on")),
+        ("carry", dict(carry="on", lazy="off")),
         ("lazy", dict(carry="on", lazy="on")),
     ]
 

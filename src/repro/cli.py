@@ -135,9 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summarize.add_argument(
         "--lazy",
-        action="store_true",
-        help="lazy-greedy selection: re-score only queue heads "
-        "(requires carry; sound by Prop 4.2.2 monotonicity)",
+        nargs="?",
+        const="on",
+        choices=("auto", "on", "off"),
+        default="auto",
+        help="lazy-greedy selection: re-score only queue heads, sound by "
+        "Prop 4.2.2 monotonicity (default: auto, on unless --carry off; "
+        "a bare --lazy means on)",
     )
     summarize.add_argument(
         "--sample-sharing",

@@ -1,4 +1,4 @@
-"""The candidate scoring engine: parallel fan-out + incremental carry.
+"""The candidate scoring engine: incremental carry + lazy-greedy selection.
 
 One Algorithm-1 step measures every candidate merge's size and
 distance -- the dominant cost of the whole algorithm.  The
@@ -23,71 +23,50 @@ cheapest path that preserves the reference semantics:
   also the fallback when ``sample_sharing`` is off or the kernel's
   preconditions fail).
 
-The fast paths additionally shard the candidate set across worker
-*processes*.  Workers are pre-forked: the step's scorer (packed
-valuation bitmasks, per-group baselines, aligned originals) lives in a
-module-level global set *before* the pool forks, so the state ships to
-every worker via copy-on-write pages -- no pickling of the step state,
-only the small per-candidate results travel back.  Chunks are
-concatenated in candidate order, so the parallel path is deterministic
-and bit-identical to running the same scorer serially.
+Scoring runs in-process and serially: the lazy-greedy queue re-scores
+only a handful of queue heads per step, which left no workload where
+sharding the candidate list across forked workers paid for the fork.
 
 Robustness contract: if any fast path raises mid-run -- a latent
-applicability gap, a fork failure, a broken pool -- the engine rescores
-the *entire* step through the naive path rather than crashing or
-returning a partial candidate list.  ``path_counts`` records which path
-every step actually took.
+applicability gap, a broken scorer -- the engine rescores the *entire*
+step through the naive path rather than crashing or returning a
+partial candidate list.  ``path_counts`` records which path every step
+actually took.
 
 Knob resolution (``SummarizationConfig``):
 
-* ``parallelism``: ``None`` ("auto") engages ``os.cpu_count()`` workers
-  when the machine has ≥ 2 cores and the step has at least
-  ``parallel_threshold`` candidates; ``0``/``1`` ("off") restores the
-  serial seed behavior; any other int forces that many workers.
 * ``incremental``: ``None`` ("auto") and ``True`` ("on") carry the step
   scorer; ``False`` ("off") rebuilds a dense scorer every step (seed
   behavior).
 * ``carry``: ``None`` ("auto") and ``True`` ("on") keep candidate
-  *measurements* across steps as well: disjoint candidates are
-  delta-corrected (exact size shift, shared per-valuation distance
-  delta) and only the merge-affected neighborhood is re-scored, then a
-  ``refresh_near`` confirmation pass re-scores everything within 1e-9
-  of the head so selection stays bit-identical to a full re-score.
-  ``False`` ("off") restores the full per-step re-score.  The carry
-  engages only with ``scoring="normalized"`` (ordinal ranks compare
-  floats exactly) and a sparse incremental scorer; otherwise the pool
-  still maintains the candidate list but every candidate is re-scored.
-* ``lazy``: ``True`` ("on") selects the winner through a lazy-greedy
-  priority queue -- stale distance scores are lower bounds by Prop
-  4.2.2 monotonicity, so only popped queue heads are re-scored until
-  the head is fresh.  Requires ``scoring="normalized"`` and ``carry``
-  not off (validated by ``SummarizationConfig``).
-
-Parallel fan-out requires the ``fork`` start method (Linux/macOS
-CPython); platforms without it silently run serially.  It also
-requires being called from the **main thread**: forking while sibling
-threads run can snapshot a pool queue's semaphore (or any lock)
-mid-acquire and deadlock the child, so a request-handler thread in the
-serving tier degrades to serial scoring with a structured-log warning
-instead of wedging the session.
+  *measurements* across steps as well.  Under eager selection
+  (``lazy`` off) disjoint candidates are delta-corrected (exact size
+  shift, shared per-valuation distance delta) and only the
+  merge-affected neighborhood is re-scored, then a ``refresh_near``
+  confirmation pass re-scores everything within 1e-9 of the head so
+  selection stays bit-identical to a full re-score.  ``False`` ("off")
+  restores the full per-step re-score.  The carry engages only with
+  ``scoring="normalized"`` (ordinal ranks compare floats exactly) and a
+  sparse incremental scorer; otherwise the pool still maintains the
+  candidate list but every candidate is re-scored.
+* ``lazy``: selects the winner through a lazy-greedy priority queue --
+  stale distance scores are lower bounds by Prop 4.2.2 monotonicity, so
+  only popped queue heads are re-scored until the head is fresh.
+  ``None`` ("auto", the default) turns it on whenever it is valid:
+  ``scoring="normalized"`` and ``carry`` not off.  An explicit ``True``
+  ("on") is validated against the same two conditions by
+  ``SummarizationConfig``; ``False`` ("off") keeps eager selection.
 """
 
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import os
-import pickle
-import threading
 import time
-from array import array
 from collections import Counter
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..observability import log as _log
 from ..observability import metrics as _metrics
 from ..observability import tracing as _tracing
-from ..provenance import ir as _ir
 from ..provenance.annotations import Annotation, AnnotationUniverse
 from .candidates import Candidate, virtual_summary
 from .distance import DistanceComputer, DistanceEstimate
@@ -96,7 +75,6 @@ from .mapping import MappingState
 from .sampled_scoring import SampledStepScorer
 from .scoring import ScoredCandidate, score_candidates
 from . import kernels as _kernels
-from . import shm as _shm
 
 _SCORING_STEPS = _metrics.counter(
     "prox_scoring_steps_total",
@@ -114,10 +92,6 @@ _SCORING_CANDIDATES = _metrics.counter(
 _SCORING_FALLBACKS = _metrics.counter(
     "prox_scoring_fallbacks_total",
     "Fast-path failures rescored through the naive path.",
-)
-_SCORING_WORKERS = _metrics.gauge(
-    "prox_scoring_workers",
-    "Worker processes used by the most recent scoring step.",
 )
 _SCORING_CARRIED = _metrics.counter(
     "prox_scoring_candidates_carried_total",
@@ -139,6 +113,13 @@ _SAMPLE_BATCH_REUSE = _metrics.counter(
     "Sampled steps that reused the carried scorer's valuation batch "
     "instead of redrawing it.",
 )
+
+
+#: Float-association dust bound between a carried (delta-corrected or
+#: repair-seeded) measurement and a fresh walk: ``refresh_near``
+#: re-scores carried entries within it of the head, and the lazy queue
+#: lowers seeded entries' keys by it so they stay lower bounds.
+_CARRY_TOLERANCE = 1e-9
 
 
 class _OverlayUniverse:
@@ -165,146 +146,13 @@ class _OverlayUniverse:
         return name in self._extra or name in self._base
 
 
-#: Step state inherited by forked workers (set only around a pool's
-#: lifetime).  Fork copies the parent's address space, so workers read
-#: the scorer without any serialization.  Candidate parts ship as two
-#: flat columns -- one list of part names and an ``array('q')`` of
-#: candidate offsets -- instead of thousands of per-candidate tuples:
-#: the compact arrays occupy far fewer copy-on-write pages and dirty
-#: none of them with per-object refcount writes in the workers.
-#: Published shared-memory blocks (the IR arena, the pinned sample
-#: batch, the detail-result matrices) ride along as fork-inherited
-#: mappings -- workers never attach segments by name.
-_WORKER_STATE: Dict[str, object] = {}
-
-
-def _worker_bind() -> None:
-    """One-time per-worker setup: map the published shared blocks.
-
-    Runs lazily on a worker's first span.  The flags written here land
-    in the child's copy-on-write ``_WORKER_STATE`` -- each worker binds
-    once, the parent's dict is untouched.  Both bindings are
-    correctness-neutral (the mapped arena serves the same ids and
-    columns, the mapped weights the same doubles), so failures fall
-    back to the inherited state silently.
-    """
-    if _WORKER_STATE.get("bound"):
-        return
-    _WORKER_STATE["bound"] = True
-    arena = _WORKER_STATE.get("arena")
-    if arena is not None:
-        try:
-            from ..provenance import ir as _ir
-
-            _ir.install_store(arena.map_store())
-        except Exception:
-            pass
-    batch = _WORKER_STATE.get("batch")
-    if batch is not None:
-        try:
-            _WORKER_STATE["scorer"].adopt_shared_weights(
-                batch.weights_view()
-            )
-        except Exception:
-            pass
-
-
-def _score_span(span: Tuple[int, int]) -> List[Tuple[int, int, float]]:
-    """Score a contiguous slice of the step's candidates (worker side).
-
-    Returns only ``(candidate_index, size, distance_value)`` triples:
-    the parent rebuilds the (deterministic) estimate objects, so the
-    pickled payload is independent of ``n_vals`` and candidate shape.
-    """
-    _worker_bind()
-    scorer = _WORKER_STATE["scorer"]
-    names = _WORKER_STATE["part_names"]
-    offsets = _WORKER_STATE["part_offsets"]
-    low, high = span
-    out: List[Tuple[int, int, float]] = []
-    for index in range(low, high):
-        size, estimate = scorer.score(
-            names[offsets[index] : offsets[index + 1]]
-        )
-        out.append((index, size, estimate.value))
-    return out
-
-
-def _score_span_detail(span: Tuple[int, int]) -> List[Tuple[int, int, float]]:
-    """Like :func:`_score_span` for the carry path: the per-valuation
-    accumulator vectors are written into the step's shared matrices
-    (one row per candidate, rows disjoint) instead of being pickled
-    back -- the return stays index/size/distance triples."""
-    _worker_bind()
-    scorer = _WORKER_STATE["scorer"]
-    names = _WORKER_STATE["part_names"]
-    offsets = _WORKER_STATE["part_offsets"]
-    accs_rows = _WORKER_STATE["accs_matrix"]
-    wf_rows = _WORKER_STATE["wf_matrix"]
-    low, high = span
-    out: List[Tuple[int, int, float]] = []
-    for index in range(low, high):
-        size, estimate, accs, wf = scorer.score_detail(
-            names[offsets[index] : offsets[index + 1]]
-        )
-        accs_rows.write_row(index, accs)
-        wf_rows.write_row(index, wf)
-        out.append((index, size, estimate.value))
-    return out
-
-
-def fork_available() -> bool:
-    """Whether pre-forked worker pools are supported on this platform."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-_FORK_UNSAFE_WARNED = False
-
-
-def fork_safe_here() -> bool:
-    """Whether forking a worker pool is safe from the calling thread.
-
-    A fork snapshots every lock and pool-queue semaphore in whatever
-    state some sibling thread holds it, so forking off the main thread
-    (a server request-handler, the eviction loop, ...) can deadlock
-    the child on a lock whose owner does not exist there.  Main-thread
-    callers (CLI, benchmarks, tests) keep the pre-forked pool.
-    """
-    return threading.current_thread() is threading.main_thread()
-
-
-def _warn_fork_unsafe(workers: int) -> None:
-    global _FORK_UNSAFE_WARNED
-    if _FORK_UNSAFE_WARNED:
-        return
-    _FORK_UNSAFE_WARNED = True
-    _log.get_logger("core.engine").warning(
-        "parallel_fork_unsafe requested_workers=%d thread=%s "
-        "resolution=serial reason=%s",
-        workers,
-        _log.quote(threading.current_thread().name),
-        _log.quote("fork off the main thread can deadlock workers"),
-    )
-
-
-def resolve_workers(
-    parallelism: Optional[int], n_candidates: int, threshold: int
-) -> int:
-    """Workers to use for a step of ``n_candidates`` candidates."""
-    if parallelism is None:
-        cpus = os.cpu_count() or 1
-        if cpus < 2 or n_candidates < threshold:
-            return 1
-        workers = cpus
-    else:
-        workers = parallelism
-    if workers <= 1 or not fork_available():
-        return 1
-    return max(1, min(workers, n_candidates))
-
-
 class ScoringEngine:
     """Measures one step's candidates; carries state between steps."""
+
+    #: Processes that scored the most recent step: always 1, scoring
+    #: runs in the calling process.  Kept because the perfbench tracer
+    #: reads it to count multi-process steps.
+    last_workers: int = 1
 
     PATH_FAST = "fast"
     PATH_FAST_INCREMENTAL = "fast+incremental"
@@ -326,7 +174,11 @@ class ScoringEngine:
             getattr(config, "carry", None) is not False
             and config.scoring == "normalized"
         )
-        self._lazy = bool(getattr(config, "lazy", False))
+        self._lazy = config.lazy_selection
+        # Lazy step 0 keeps the (size, accumulators, weighted_finished)
+        # detail the repair checkpoint needs only when the run captures
+        # one (eager carry keeps it anyway).
+        self._repair = getattr(config, "repair", None) is not False
         # Bit-packed sampled scoring for classes too large to
         # enumerate: one shared Monte-Carlo batch per step instead of
         # per-candidate redraws through the naive path.  "auto"/"on"
@@ -342,6 +194,9 @@ class ScoringEngine:
         #: ``_carry_expr`` tracks the scorer's current expression
         #: through advance().
         self._carry_store: Dict[Tuple[str, ...], tuple] = {}
+        #: Lazy mode's step-0 detail store (delta-carry layout) for
+        #: :meth:`capture_repair_checkpoint`; ``None`` otherwise.
+        self._checkpoint_store: Optional[Dict[Tuple[str, ...], tuple]] = None
         self._carry_expr: object = None
         self._carry_ready: bool = False
         #: Cross-run repair seed (a previous run's step-0 checkpoint
@@ -357,13 +212,6 @@ class ScoringEngine:
         self._stale: set = set()
         #: Path taken by the most recent :meth:`measure` call.
         self.last_path: str = ""
-        #: Workers used by the most recent :meth:`measure` call.
-        self.last_workers: int = 1
-        #: Pickled bytes returned by the most recent parallel step's
-        #: workers (index/size/distance triples only; -1 until a
-        #: parallel step runs).  The parallel benchmark asserts this
-        #: stays independent of ``n_vals``.
-        self.last_worker_payload_bytes: int = -1
         #: Kernel backend that folded the most recent step's masks
         #: (the scorer's captured backend; the process-wide active
         #: backend for naive steps, which fold nothing).
@@ -410,7 +258,6 @@ class ScoringEngine:
             measured, seconds = self._measure(candidates, current, mapping)
             span.set("path", self.last_path)
             span.set("kernel", self.last_kernel)
-            span.set("workers", self.last_workers)
             span.set("n_candidates", len(candidates))
             span.set("seconds", seconds)
             span.set("carried", self.last_carried)
@@ -556,7 +403,9 @@ class ScoringEngine:
             self._invalidate_carry()
 
     def refresh_near(
-        self, scored: Sequence[ScoredCandidate], tolerance: float = 1e-9
+        self,
+        scored: Sequence[ScoredCandidate],
+        tolerance: float = _CARRY_TOLERANCE,
     ) -> int:
         """Freshly re-score carried entries near the provisional winner.
 
@@ -616,14 +465,17 @@ class ScoringEngine:
         delta-extended problem can :meth:`seed_repair` from this
         snapshot and skip re-measuring every candidate untouched by
         the delta.  Returns ``None`` when the step's path cannot seed
-        a repair -- lazy mode stores estimates instead of
-        accumulators, and the sampled kernel's Monte-Carlo batch is
-        not reproducible across runs -- in which case the repaired run
+        a repair -- the sampled kernel's Monte-Carlo batch is not
+        reproducible across runs, and a dense scorer keeps no
+        per-candidate accumulators -- in which case the repaired run
         simply re-scores from scratch (correct, just not accelerated).
+        Lazy mode reads the step-0 detail store :meth:`_lazy_select`
+        kept beside its ``(size, estimate)`` queue store.
         """
         scorer = self._scorer
+        store = self._checkpoint_store if self._lazy else self._carry_store
         if (
-            self._lazy
+            store is None
             or not self._carry_ready
             or scorer is None
             or isinstance(scorer, SampledStepScorer)
@@ -642,7 +494,7 @@ class ScoringEngine:
             # accumulators intact for the next run's seed.
             "store": {
                 parts: (entry[0], list(entry[1]), list(entry[2]))
-                for parts, entry in self._carry_store.items()
+                for parts, entry in store.items()
             },
             "labels": labels,
             "weights": tuple(valuation.weight for valuation in scorer.valuations),
@@ -707,7 +559,6 @@ class ScoringEngine:
             )
             span.set("path", self.last_path)
             span.set("kernel", self.last_kernel)
-            span.set("workers", self.last_workers)
             span.set("n_candidates", len(candidates))
             span.set("seconds", seconds)
             span.set("carried", self.last_carried)
@@ -749,7 +600,6 @@ class ScoringEngine:
         _SCORING_STEPS.inc(path=self.last_path)
         _SCORING_SECONDS.observe(seconds)
         _SCORING_CANDIDATES.inc(n_candidates)
-        _SCORING_WORKERS.set(self.last_workers)
         if self.last_carried:
             _SCORING_CARRIED.inc(self.last_carried)
         if self.last_rescored:
@@ -766,6 +616,7 @@ class ScoringEngine:
 
     def _invalidate_carry(self) -> None:
         self._carry_store = {}
+        self._checkpoint_store = None
         self._carry_expr = None
         self._carry_ready = False
         self._stale = set()
@@ -819,9 +670,8 @@ class ScoringEngine:
         from the applied merge's neighborhood get their carried size
         plus the merge's exact size shift and their carried accumulator
         plus the per-valuation baseline delta; only the intersecting /
-        new candidates are freshly scored (and sharded across the fork
-        pool).  Carried entries are marked stale for
-        :meth:`refresh_near`.
+        new candidates are freshly scored.  Carried entries are marked
+        stale for :meth:`refresh_near`.
         """
         self._stale = set()
         seed = self._repair_seed
@@ -834,33 +684,22 @@ class ScoringEngine:
         )
         if not capture:
             self._invalidate_carry()
-            return self._score_all(
-                scorer, [candidate.parts for candidate in candidates]
-            )
+            return [scorer.score(candidate.parts) for candidate in candidates]
         live = (
             self._carry_ready
             and self._carry_expr is scorer.current
             and scorer.last_delta is not None
         )
         if not live:
-            if seed is not None:
-                try:
-                    seeded = self._score_from_seed(scorer, candidates, *seed)
-                except Exception:
-                    seeded = None
-                if seeded is not None:
-                    return seeded
-            detail = self._score_all(
-                scorer,
-                [candidate.parts for candidate in candidates],
-                detail=True,
-            )
+            detail, stale = self._step0_detail(scorer, candidates, seed)
             self._carry_store = {
                 candidate.parts: (size, accs, wf)
                 for candidate, (size, _, accs, wf) in zip(candidates, detail)
             }
             self._carry_expr = scorer.current
             self._carry_ready = True
+            self._stale = stale
+            self._tally(len(stale), len(candidates) - len(stale))
             return [(size, estimate) for size, estimate, _, _ in detail]
 
         store = self._carry_store
@@ -888,20 +727,43 @@ class ScoringEngine:
             results[index] = (size, estimate)
             new_store[candidate.parts] = (size, accs, wf)
             stale.add(candidate.parts)
-        fresh = self._score_all(
-            scorer, [candidates[index].parts for index in rescore], detail=True
-        )
-        for index, (size, estimate, accs, wf) in zip(rescore, fresh):
+        for index in rescore:
+            parts = candidates[index].parts
+            size, estimate, accs, wf = scorer.score_detail(parts)
             results[index] = (size, estimate)
-            new_store[candidates[index].parts] = (size, accs, wf)
+            new_store[parts] = (size, accs, wf)
         self._carry_store = new_store
         self._carry_expr = scorer.current
         self._stale = stale
-        self.last_carried = len(candidates) - len(rescore)
-        self.last_rescored = len(rescore)
-        self.total_carried += self.last_carried
-        self.total_rescored += self.last_rescored
+        self._tally(len(candidates) - len(rescore), len(rescore))
         return results
+
+    def _tally(self, carried: int, rescored: int) -> None:
+        """Record one step's carried / freshly re-scored partition."""
+        self.last_carried = carried
+        self.last_rescored = rescored
+        self.total_carried += carried
+        self.total_rescored += rescored
+
+    def _step0_detail(
+        self,
+        scorer: IncrementalStepScorer,
+        candidates: Sequence[Candidate],
+        seed: Optional[tuple],
+    ) -> Tuple[List[tuple], Set[Tuple[str, ...]]]:
+        """Full ``(size, estimate, accs, wf)`` measurements of a step
+        with no live carry, re-based on the repair seed when one
+        applies.  Returns the measurements and the parts served from
+        the seed (stale until re-scored)."""
+        if seed is not None:
+            try:
+                seeded = self._score_from_seed(scorer, candidates, *seed)
+            except Exception:
+                seeded = None
+            if seeded is not None:
+                return seeded
+        detail = [scorer.score_detail(candidate.parts) for candidate in candidates]
+        return detail, set()
 
     def _score_from_seed(
         self,
@@ -910,7 +772,7 @@ class ScoringEngine:
         checkpoint: dict,
         flipped_labels: FrozenSet[str],
         affected_names: FrozenSet[str],
-    ) -> Optional[List[Tuple[int, DistanceEstimate]]]:
+    ) -> Optional[Tuple[List[tuple], Set[Tuple[str, ...]]]]:
         """Step-0 measurements re-based on a prior run's checkpoint.
 
         A carried candidate's accumulator at a valuation position is
@@ -924,7 +786,8 @@ class ScoringEngine:
         .score_positions`); the finish walk then reproduces the fresh
         estimate bit for bit.  Sizes shift by the expression-size
         delta (the candidate's collision structure is untouched).
-        Returns ``None`` when any applicability gate fails.
+        Returns ``(size, estimate, accs, wf)`` per candidate plus the
+        seeded parts, or ``None`` when any applicability gate fails.
         """
         if isinstance(scorer, SampledStepScorer):
             return None
@@ -989,19 +852,15 @@ class ScoringEngine:
             and all(carried is None for carried in pi[n_old:])
         )
         tail = [0.0] * (n_vals - n_old)
-        results: List[Optional[Tuple[int, DistanceEstimate]]] = [None] * len(
-            candidates
-        )
-        new_store: Dict[Tuple[str, ...], tuple] = {}
-        stale: set = set()
-        rescore: List[int] = []
-        for index, candidate in enumerate(candidates):
+        detail: List[tuple] = []
+        stale: Set[Tuple[str, ...]] = set()
+        for candidate in candidates:
             parts = candidate.parts
             entry = store.get(parts)
             if entry is None or self._seed_intersects(
                 scorer, parts, affected_terms, affected_groups
             ):
-                rescore.append(index)
+                detail.append(scorer.score_detail(parts))
                 continue
             old_accs = entry[1]
             old_wf = entry[2]
@@ -1029,27 +888,11 @@ class ScoringEngine:
             estimate, accs, wf = scorer.carried_score_fast(
                 accs, wf, zeros, recompute, mutate=True
             )
-            size = entry[0] + shift
-            results[index] = (size, estimate)
-            new_store[parts] = (size, accs, wf)
+            detail.append((entry[0] + shift, estimate, accs, wf))
             stale.add(parts)
-        fresh = self._score_all(
-            scorer, [candidates[index].parts for index in rescore], detail=True
-        )
-        for index, (size, estimate, accs, wf) in zip(rescore, fresh):
-            results[index] = (size, estimate)
-            new_store[candidates[index].parts] = (size, accs, wf)
-        self._carry_store = new_store
-        self._carry_expr = scorer.current
-        self._carry_ready = True
-        self._stale = stale
-        self.last_carried = len(candidates) - len(rescore)
-        self.last_rescored = len(rescore)
-        self.total_carried += self.last_carried
-        self.total_rescored += self.last_rescored
-        self.last_repair_seeded = self.last_carried
-        self.last_repair_rescored = self.last_rescored
-        return results
+        self.last_repair_seeded = len(stale)
+        self.last_repair_rescored = len(candidates) - len(stale)
+        return detail, stale
 
     @staticmethod
     def _seed_intersects(
@@ -1122,10 +965,7 @@ class ScoringEngine:
             return self._lazy_fallback(
                 candidates, current, mapping, w_dist, w_size, original_size
             )
-        self.last_carried = carried
-        self.last_rescored = rescored
-        self.total_carried += carried
-        self.total_rescored += rescored
+        self._tally(carried, rescored)
         self._record(self._scorer_path(scorer))
         self.last_kernel = scorer._kernel.name
         self._note_sample_step(scorer)
@@ -1161,6 +1001,13 @@ class ScoringEngine:
         disjoint candidates get the exact carried-size shift and the
         rest a direct size recomputation.  New pairs (no carried entry)
         enter with the global distance floor 0.0.
+
+        Step 0 (no live carry) measures every candidate.  When the run
+        captures a repair checkpoint it measures with detail, so the
+        step-0 ``(size, accs, wf)`` store can seed the next run, and
+        consumes this run's repair seed: seeded entries enter the
+        queue stale, their keys lowered by ``_CARRY_TOLERANCE`` to stay
+        lower bounds.
         """
         store = self._carry_store
         live = (
@@ -1169,15 +1016,30 @@ class ScoringEngine:
             and scorer.last_affected_terms is not None
         )
         entries: List[list] = []
-        rescored = 0
+        detail_store: Optional[Dict[Tuple[str, ...], tuple]] = None
+        seeded: Set[Tuple[str, ...]] = set()
         if not live:
-            results = self._score_all(
-                scorer, [candidate.parts for candidate in candidates]
-            )
-            entries = [[size, estimate, True] for size, estimate in results]
-            rescored = len(candidates)
+            seed = self._repair_seed
+            self._repair_seed = None
+            if self._repair and scorer._sparse and not isinstance(
+                scorer, SampledStepScorer
+            ):
+                detail, seeded = self._step0_detail(scorer, candidates, seed)
+                detail_store = {}
+                for candidate, (size, estimate, accs, wf) in zip(
+                    candidates, detail
+                ):
+                    detail_store[candidate.parts] = (size, accs, wf)
+                    entries.append(
+                        [size, estimate, candidate.parts not in seeded]
+                    )
+            else:
+                for candidate in candidates:
+                    size, estimate = scorer.score(candidate.parts)
+                    entries.append([size, estimate, True])
+            rescored = len(candidates) - len(seeded)
         else:
-            self.last_workers = 1
+            rescored = 0
             shift = scorer.last_size_shift
             for candidate in candidates:
                 entry = store.get(candidate.parts)
@@ -1193,14 +1055,14 @@ class ScoringEngine:
                     entries.append([entry[0] + shift, entry[1], False])
 
         def entry_key(index: int) -> Tuple[float, float, Tuple[str, ...]]:
-            size, estimate, _ = entries[index]
+            size, estimate, fresh = entries[index]
+            parts = candidates[index].parts
             r_dist = estimate.normalized if estimate is not None else 0.0
             r_size = size / original_size if original_size else 0.0
-            return (
-                w_dist * r_dist + w_size * r_size,
-                candidates[index].proposal.taxonomy_cost,
-                candidates[index].parts,
-            )
+            score = w_dist * r_dist + w_size * r_size
+            if not fresh and parts in seeded:
+                score -= _CARRY_TOLERANCE
+            return (score, candidates[index].proposal.taxonomy_cost, parts)
 
         heap = [(entry_key(index), index) for index in range(len(candidates))]
         heapq.heapify(heap)
@@ -1209,7 +1071,12 @@ class ScoringEngine:
             if entries[index][2]:
                 best_index = index
                 break
-            size, estimate = scorer.score(candidates[index].parts)
+            parts = candidates[index].parts
+            if detail_store is not None:
+                size, estimate, accs, wf = scorer.score_detail(parts)
+                detail_store[parts] = (size, accs, wf)
+            else:
+                size, estimate = scorer.score(parts)
             entries[index] = [size, estimate, True]
             rescored += 1
             heapq.heappush(heap, (entry_key(index), index))
@@ -1219,6 +1086,7 @@ class ScoringEngine:
             for candidate, entry in zip(candidates, entries)
             if entry[1] is not None
         }
+        self._checkpoint_store = detail_store
         self._carry_expr = scorer.current
         self._carry_ready = True
         self._stale = set()
@@ -1238,128 +1106,13 @@ class ScoringEngine:
         )
         return best, len(candidates) - rescored, rescored
 
-    def _score_all(
-        self,
-        scorer: FastStepScorer,
-        parts: Sequence[Tuple[str, ...]],
-        detail: bool = False,
-    ) -> List[tuple]:
-        if not parts:
-            self.last_workers = 1
-            return []
-        workers = resolve_workers(
-            self.config.parallelism, len(parts), self.config.parallel_threshold
-        )
-        if workers > 1 and not fork_safe_here():
-            _warn_fork_unsafe(workers)
-            workers = 1
-        self.last_workers = workers
-        if workers <= 1:
-            if detail:
-                return [scorer.score_detail(entry) for entry in parts]
-            return [scorer.score(entry) for entry in parts]
-
-        # A few spans per worker smooths out uneven candidate costs.
-        spans: List[Tuple[int, int]] = []
-        n_spans = min(len(parts), workers * 4)
-        base, extra = divmod(len(parts), n_spans)
-        low = 0
-        for index in range(n_spans):
-            high = low + base + (1 if index < extra else 0)
-            spans.append((low, high))
-            low = high
-
-        flat_names: List[str] = []
-        offsets = array("q", (0,))
-        for candidate_parts in parts:
-            flat_names.extend(candidate_parts)
-            offsets.append(len(flat_names))
-
-        # Shared-memory blocks for the pool's lifetime: detail results
-        # land in per-candidate matrix rows (workers return only
-        # index/size/distance triples), and the IR arena / pinned
-        # sample batch are published once for the workers to map
-        # read-only.  Everything is unlinked in the finally below; the
-        # publications are optimizations, so their failure (e.g. a full
-        # /dev/shm) degrades to the inherited copy-on-write state.
-        _shm.reap_stale_segments_once()
-        accs_matrix = wf_matrix = None
-        if detail:
-            accs_matrix = _shm.SharedMatrix(len(parts), scorer.n_vals, "accs")
-            wf_matrix = _shm.SharedMatrix(len(parts), scorer.n_vals, "wf")
-        arena = self._publish_arena()
-        batch = self._publish_batch(scorer)
-
-        context = multiprocessing.get_context("fork")
-        _WORKER_STATE["scorer"] = scorer
-        _WORKER_STATE["part_names"] = flat_names
-        _WORKER_STATE["part_offsets"] = offsets
-        _WORKER_STATE["accs_matrix"] = accs_matrix
-        _WORKER_STATE["wf_matrix"] = wf_matrix
-        _WORKER_STATE["arena"] = arena
-        _WORKER_STATE["batch"] = batch
-        try:
-            with context.Pool(processes=workers) as pool:
-                chunked = pool.map(
-                    _score_span_detail if detail else _score_span, spans
-                )
-            self.last_worker_payload_bytes = sum(
-                len(pickle.dumps(chunk, protocol=pickle.HIGHEST_PROTOCOL))
-                for chunk in chunked
-            )
-            results: List[tuple] = [None] * len(parts)  # type: ignore[list-item]
-            for chunk in chunked:
-                for index, size, value in chunk:
-                    estimate = scorer._estimate(value)
-                    if detail:
-                        results[index] = (
-                            size,
-                            estimate,
-                            accs_matrix.row_list(index),
-                            wf_matrix.row_list(index),
-                        )
-                    else:
-                        results[index] = (size, estimate)
-            return results
-        finally:
-            _WORKER_STATE.clear()
-            for block in (accs_matrix, wf_matrix, arena, batch):
-                if block is not None:
-                    block.destroy()
-
-    def _publish_arena(self) -> Optional["_shm.SharedArena"]:
-        """The global IR arena as a shared segment, if publishable."""
-        try:
-            if not _ir.ir_enabled():
-                return None
-            store = _ir.GLOBAL_STORE
-            if store.n_monomials() <= 1 and len(store.interner) == 0:
-                return None
-            return _shm.SharedArena.publish(store)
-        except Exception:
-            return None
-
-    def _publish_batch(self, scorer) -> Optional["_shm.SharedBatch"]:
-        """The pinned sample batch as a shared segment, if sampled."""
-        if not isinstance(scorer, SampledStepScorer):
-            return None
-        try:
-            return _shm.SharedBatch.publish(scorer)
-        except Exception:
-            return None
-
     def _measure_naive(
         self,
         candidates: Sequence[Candidate],
         current,
         mapping: MappingState,
     ) -> Tuple[List[ScoredCandidate], float]:
-        """Reference path: materialize and measure each candidate.
-
-        Kept serial: sampled distances draw from the computer's shared
-        RNG, whose sequence parallel sharding would change.
-        """
-        self.last_workers = 1
+        """Reference path: materialize and measure each candidate."""
         self._invalidate_carry()
         problem = self.problem
         measured: List[ScoredCandidate] = []

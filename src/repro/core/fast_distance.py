@@ -823,12 +823,12 @@ class IncrementalStepScorer(FastStepScorer):
         self._weight_sum: float = weight_sum
         # Columnar float64 mirrors of the sparse dicts for the kernel
         # ``sparse_scores`` path, built lazily (many candidates per step
-        # share them) and dropped by ``advance``/``adopt_shared_weights``.
+        # share them) and dropped by ``advance``.
         # Dense columns encode an absent key as 0.0: subtracting or
         # adding that coordinate is an IEEE identity, so the columnar
         # walk is bit-identical to the dict walk it mirrors.
         self._base_col: Optional[array] = None
-        self._weights_col: Optional[object] = None
+        self._weights_col: Optional[array] = None
         self._zero_col: Optional[array] = None
         self._nonzero_cols: Dict[object, array] = {}
         self._orig_cols: Dict[object, array] = {}
@@ -923,13 +923,9 @@ class IncrementalStepScorer(FastStepScorer):
             self._base_col = array("d", self._nonzero_sum)
         return self._base_col
 
-    def _sparse_weights_col(self):
+    def _sparse_weights_col(self) -> array:
         if self._weights_col is None:
-            weights = self._weights
-            if isinstance(weights, (array, memoryview)):
-                self._weights_col = weights
-            else:
-                self._weights_col = array("d", weights)
+            self._weights_col = array("d", self._weights)
         return self._weights_col
 
     def _sparse_zero_col(self) -> array:

@@ -48,7 +48,7 @@ from ..observability import slo as _slo
 from ..provenance import ir as _ir
 from .manager import CapacityError, SessionManager, UnknownSessionError
 from .session import ProxSession
-from .summarization import SummarizationRequest
+from .summarization import CONFIG_KNOBS, REMOVED_KNOBS, SummarizationRequest
 
 #: ``(status, body, content_type, headers)``; ``body`` is a JSON-able
 #: dict (rendered by the adapter) or a pre-rendered string.
@@ -361,15 +361,14 @@ class ProxApp:
             "aggregation",
             "valuation_class",
             "val_func",
-            "parallelism",
-            "incremental",
-            "carry",
-            "lazy",
-            "sample_sharing",
-            "sample_block",
-            "repair",
-            "slo_seconds",
+            *CONFIG_KNOBS,
         }
+        removed = sorted(set(body).intersection(REMOVED_KNOBS))
+        if removed:
+            raise ValueError(
+                f"removed summarization parameters: {removed} "
+                "(candidate scoring always runs serially)"
+            )
         unknown = set(body) - allowed - {"seed", "session_id"}
         if unknown:
             raise ValueError(f"unknown summarization parameters: {sorted(unknown)}")

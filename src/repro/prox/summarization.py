@@ -37,6 +37,21 @@ VAL_FUNCS = {
 #: The valuation-class choices offered by the summarization view.
 VALUATION_CLASSES = ("Cancel Single Annotation", "Cancel Single Attribute")
 
+#: Request fields passed to :class:`SummarizationConfig` only when set.
+CONFIG_KNOBS = (
+    "incremental",
+    "carry",
+    "lazy",
+    "sample_sharing",
+    "sample_block",
+    "repair",
+    "slo_seconds",
+)
+
+#: Knobs of the deleted forked-worker scoring tier; a request naming
+#: one is rejected rather than silently ignored.
+REMOVED_KNOBS = ("parallelism", "parallel_threshold")
+
 
 @dataclass(frozen=True)
 class SummarizationRequest:
@@ -50,18 +65,16 @@ class SummarizationRequest:
     aggregation: str = "MAX"
     valuation_class: str = "Cancel Single Annotation"
     val_func: str = "Euclidean Distance"
-    #: Scoring-engine knobs (see :mod:`repro.core.engine`): worker
-    #: processes per step ("auto"/"off"/int), incremental scorer carry
-    #: ("auto"/"on"/"off"/bool), cross-step candidate carry
-    #: ("auto"/"on"/"off"/bool), lazy-greedy selection ("on"/"off"),
-    #: shared-batch sampled scoring ("auto"/"on"/"off"/bool) and the
-    #: sampling-budget block size.
-    parallelism: object = None
+    #: Scoring-engine knobs (see :mod:`repro.core.engine`): incremental
+    #: scorer carry, cross-step candidate carry, lazy-greedy selection
+    #: and shared-batch sampled scoring ("auto"/"on"/"off"/bool), and
+    #: the sampling-budget block size.  Here and below ``None`` leaves
+    #: the knob unset: :class:`SummarizationConfig` owns every default.
     incremental: object = None
     carry: object = None
-    lazy: object = False
+    lazy: object = None
     sample_sharing: object = None
-    sample_block: int = 64
+    sample_block: Optional[int] = None
     #: Streaming summary repair ("auto"/"on"/"off"): consume the repair
     #: state left by the previous run of this session (if any) and
     #: leave one behind for the next (see :mod:`repro.core.streaming`).
@@ -71,6 +84,11 @@ class SummarizationRequest:
     slo_seconds: Optional[float] = None
 
     def to_config(self, seed: int = 0) -> SummarizationConfig:
+        knobs = {
+            name: getattr(self, name)
+            for name in CONFIG_KNOBS
+            if getattr(self, name) is not None
+        }
         return SummarizationConfig(
             w_dist=self.distance_weight,
             w_size=self.size_weight,
@@ -78,14 +96,7 @@ class SummarizationRequest:
             target_size=self.size_bound,
             max_steps=self.number_of_steps,
             seed=seed,
-            parallelism=self.parallelism,
-            incremental=self.incremental,
-            carry=self.carry,
-            lazy=self.lazy,
-            sample_sharing=self.sample_sharing,
-            sample_block=self.sample_block,
-            repair=self.repair,
-            slo_seconds=self.slo_seconds,
+            **knobs,
         )
 
 

@@ -285,7 +285,7 @@ def test_carried_scores_match_fresh_rescoring(seed, monoid):
         universe,
     )
     engine = ScoringEngine(
-        problem, SummarizationConfig(carry="on", parallelism=0), computer
+        problem, SummarizationConfig(carry="on"), computer
     )
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))

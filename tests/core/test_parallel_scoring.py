@@ -1,20 +1,27 @@
 """Differential proof obligations for the scoring engine.
 
-Four implementations must agree on every candidate of a step: the
+Three implementations must agree on every candidate of a step: the
 naive reference (:class:`DistanceComputer` on each materialized
-candidate), the serial :class:`FastStepScorer`, the process-pool
-parallel path, and the sparse :class:`IncrementalStepScorer` -- over
-randomized instances (explicit RNG grid), SUM/MAX/COUNT aggregations,
-the OR combiner, and the degenerate corners (one candidate, one
-valuation, all-false annotations, empty groups).
+candidate), the dense :class:`FastStepScorer` and the sparse
+:class:`IncrementalStepScorer` -- over randomized instances (explicit
+RNG grid), SUM/MAX/COUNT aggregations, the OR combiner, and the
+degenerate corners (one candidate, one valuation, all-false
+annotations, empty groups).
 
 Sizes must match as exact integers; distances to within 1e-12 (the
 tolerance the seed's fast-path suite already uses -- dense and sparse
-summation differ only in fold order).  Serial and parallel runs of the
-*same* scorer must agree bit-for-bit.
+summation differ only in fold order).  The engine's dispatch of a
+scorer must agree bit-for-bit with calling that scorer directly, and
+whole greedy runs must be bit-identical across the carry axis (off ≡
+eager delta carry ≡ lazy-greedy queue) and across the parallel axis:
+the same run on several threads at once, the way the threaded PROX
+server runs concurrent sessions in one process, must reproduce the
+serial run.
 """
 
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -197,7 +204,7 @@ def assert_distances_match(actual, reference, context=""):
 
 
 def assert_all_paths_agree(problem):
-    """naive ≡ serial fast ≡ parallel fast ≡ incremental, one step."""
+    """naive ≡ fast ≡ incremental ≡ engine dispatch, one step."""
     computer = make_computer(problem)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
@@ -225,34 +232,19 @@ def assert_all_paths_agree(problem):
     ]
     assert_distances_match(incremental, reference, "incremental vs naive")
 
-    engine, parallel = engine_scores(
-        problem,
-        computer,
-        current,
-        mapping,
-        candidates,
-        parallelism=2,
-        incremental=False,
-        parallel_threshold=1,
+    # The engine runs the very same scorers, so its measurements must be
+    # *bit*-identical to the direct calls, not just close.
+    engine, dispatched = engine_scores(
+        problem, computer, current, mapping, candidates, incremental=False
     )
     assert engine.last_path == ScoringEngine.PATH_FAST
-    assert engine.last_workers == 2 or len(candidates) < 2
-    # The parallel path runs the very same scorer in forked workers, so
-    # it must be *bit*-identical to the serial run, not just close.
-    assert parallel == serial
+    assert dispatched == serial
 
-    engine, parallel_inc = engine_scores(
-        problem,
-        computer,
-        current,
-        mapping,
-        candidates,
-        parallelism=2,
-        incremental=True,
-        parallel_threshold=1,
+    engine, dispatched_inc = engine_scores(
+        problem, computer, current, mapping, candidates, incremental=True
     )
     assert engine.last_path == ScoringEngine.PATH_FAST_INCREMENTAL
-    assert parallel_inc == incremental
+    assert dispatched_inc == incremental
 
 
 # -- the RNG grid ------------------------------------------------------------------
@@ -439,6 +431,30 @@ def test_incremental_group_merges_across_steps():
 # -- end-to-end determinism --------------------------------------------------------
 
 
+def run_concurrently(runner, n_threads=2):
+    """Call ``runner`` on ``n_threads`` threads released together and
+    return every result (the threaded server's concurrent sessions)."""
+    start = threading.Barrier(n_threads)
+
+    def gated():
+        start.wait(timeout=60)
+        return runner()
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        futures = [pool.submit(gated) for _ in range(n_threads)]
+        return [future.result() for future in futures]
+
+
+def fingerprint_runs(runner, fingerprint, threads=1):
+    """``fingerprint(runner())``; with ``threads > 1`` the run happens
+    on that many threads at once and every thread must agree."""
+    if threads == 1:
+        return fingerprint(runner())
+    prints = [fingerprint(result) for result in run_concurrently(runner, threads)]
+    assert all(p == prints[0] for p in prints[1:]), "threads disagree"
+    return prints[0]
+
+
 def movielens_problem(seed):
     return generate_movielens(
         MovieLensConfig(n_users=12, n_movies=6, seed=seed)
@@ -447,28 +463,31 @@ def movielens_problem(seed):
 
 @pytest.mark.parametrize("seed", [3, 9])
 def test_e2e_determinism_parallel_incremental_vs_seed_default(seed):
-    """parallelism=4, incremental=on must replay the seed-default run
-    merge for merge on the bundled MovieLens sample."""
+    """The default engine (incremental scorer, lazy-greedy queue), run
+    on two threads at once, must replay the seed-default run (dense
+    per-step scorer, full re-score) merge for merge on the bundled
+    MovieLens sample -- on every thread."""
     config_kwargs = dict(w_dist=0.7, max_steps=6, seed=0)
     baseline = Summarizer(
         movielens_problem(seed),
-        SummarizationConfig(parallelism=0, incremental="off", **config_kwargs),
+        SummarizationConfig(incremental="off", carry="off", **config_kwargs),
     ).run()
-    tuned = Summarizer(
-        movielens_problem(seed),
-        SummarizationConfig(
-            parallelism=4, incremental="on", parallel_threshold=1, **config_kwargs
-        ),
-    ).run()
-    assert [r.merged for r in tuned.steps] == [r.merged for r in baseline.steps]
-    assert [r.new_annotation for r in tuned.steps] == [
-        r.new_annotation for r in baseline.steps
-    ]
-    assert tuned.final_size == baseline.final_size
-    assert tuned.final_distance.value == baseline.final_distance.value
-    assert tuned.summary_groups() == baseline.summary_groups()
+    runs = run_concurrently(
+        lambda: Summarizer(
+            movielens_problem(seed),
+            SummarizationConfig(incremental="on", **config_kwargs),
+        ).run()
+    )
     assert {r.scoring_path for r in baseline.steps} == {"fast"}
-    assert {r.scoring_path for r in tuned.steps} == {"fast+incremental"}
+    for tuned in runs:
+        assert [r.merged for r in tuned.steps] == [r.merged for r in baseline.steps]
+        assert [r.new_annotation for r in tuned.steps] == [
+            r.new_annotation for r in baseline.steps
+        ]
+        assert tuned.final_size == baseline.final_size
+        assert tuned.final_distance.value == baseline.final_distance.value
+        assert tuned.summary_groups() == baseline.summary_groups()
+        assert {r.scoring_path for r in tuned.steps} == {"fast+incremental"}
 
 
 # -- the representation axis: legacy ≡ IR ------------------------------------------
@@ -488,24 +507,32 @@ def _steps_fingerprint(result):
     }
 
 
-def _run_in_mode(temporary_mode, runner):
+def _run_in_mode(temporary_mode, runner, threads=1):
     with _ir.mode(temporary_mode):
-        return _steps_fingerprint(runner())
+        return fingerprint_runs(runner, _steps_fingerprint, threads)
+
+
+#: Engine knob combinations of the differential grids, with the number
+#: of threads each run occupies at once.  With ``carry`` on,
+#: "incremental", "parallel+incremental" and "sampled" select through
+#: the lazy queue (the default) and "eager-carry" through the delta
+#: carry; the "parallel" entries run on two threads concurrently.
+_ENGINE_GRID = {
+    "serial": (dict(incremental="off"), 1),
+    "incremental": (dict(incremental="on"), 1),
+    "parallel": (dict(incremental="off"), 2),
+    "parallel+incremental": (dict(incremental="on"), 2),
+    "eager-carry": (dict(incremental="on", lazy="off"), 1),
+    "sampled": (dict(incremental="on", max_enumerate=0, distance_samples=64), 1),
+}
+engine_grid = pytest.mark.parametrize(
+    "knobs,threads", list(_ENGINE_GRID.values()), ids=list(_ENGINE_GRID)
+)
 
 
 @pytest.mark.parametrize("seed", [3, 9])
-@pytest.mark.parametrize(
-    "knobs",
-    [
-        dict(parallelism=0, incremental="off"),
-        dict(parallelism=0, incremental="on"),
-        dict(parallelism=2, incremental="off", parallel_threshold=1),
-        dict(parallelism=2, incremental="on", parallel_threshold=1),
-        dict(parallelism=0, incremental="on", max_enumerate=0, distance_samples=64),
-    ],
-    ids=("serial", "incremental", "parallel", "parallel+incremental", "sampled"),
-)
-def test_greedy_ir_vs_legacy_bit_identical(seed, knobs):
+@engine_grid
+def test_greedy_ir_vs_legacy_bit_identical(seed, knobs, threads):
     """The IR axis of the differential grid: under every engine knob
     combination a greedy run must be *bit*-identical between the
     interned and the legacy representation -- same merges, same sizes,
@@ -517,8 +544,8 @@ def test_greedy_ir_vs_legacy_bit_identical(seed, knobs):
             SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, **knobs),
         ).run()
 
-    assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
-        _ir.MODE_LEGACY, runner
+    assert _run_in_mode(_ir.MODE_IR, runner, threads) == _run_in_mode(
+        _ir.MODE_LEGACY, runner, threads
     )
 
 
@@ -612,8 +639,7 @@ def test_fast_path_bailing_mid_run_falls_back_to_naive(monkeypatch):
 
     monkeypatch.setattr(FastStepScorer, "score", flaky_score)
     engine, scores = engine_scores(
-        problem, computer, current, mapping, candidates,
-        parallelism=0, incremental=False,
+        problem, computer, current, mapping, candidates, incremental=False,
     )
     assert engine.last_path == ScoringEngine.PATH_NAIVE
     assert calls["n"] == 4, "the fast path was attempted and bailed"
@@ -657,26 +683,10 @@ def _full_fingerprint(result):
     return fingerprint
 
 
-_ENGINE_KNOBS = [
-    dict(parallelism=0, incremental="off"),
-    dict(parallelism=0, incremental="on"),
-    dict(parallelism=2, incremental="off", parallel_threshold=1),
-    dict(parallelism=2, incremental="on", parallel_threshold=1),
-    dict(parallelism=0, incremental="on", max_enumerate=0, distance_samples=64),
-]
-_ENGINE_KNOB_IDS = (
-    "serial",
-    "incremental",
-    "parallel",
-    "parallel+incremental",
-    "sampled",
-)
-
-
 @pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
-@pytest.mark.parametrize("knobs", _ENGINE_KNOBS, ids=_ENGINE_KNOB_IDS)
+@engine_grid
 @pytest.mark.parametrize("seed", [3, 9])
-def test_greedy_carry_bit_identical(seed, knobs, ir_mode, kernel):
+def test_greedy_carry_bit_identical(seed, knobs, threads, ir_mode, kernel):
     """The carry axis of the differential grid: with cross-step
     candidate carry on, a greedy run must be *bit*-identical to the
     carry-off (seed) run -- same merges, sizes and exact distance
@@ -690,13 +700,13 @@ def test_greedy_carry_bit_identical(seed, knobs, ir_mode, kernel):
 
     with _ir.mode(ir_mode):
         off = _full_fingerprint(runner("off"))
-        on = _full_fingerprint(runner("on"))
+        on = fingerprint_runs(lambda: runner("on"), _full_fingerprint, threads)
     assert on == off
 
 
 @needs_numpy
-@pytest.mark.parametrize("knobs", _ENGINE_KNOBS, ids=_ENGINE_KNOB_IDS)
-def test_greedy_run_bit_identical_across_kernels(knobs):
+@engine_grid
+def test_greedy_run_bit_identical_across_kernels(knobs, threads):
     """The tentpole contract end-to-end: a full greedy run under the
     accelerated kernels reproduces the python-kernel run bit for bit --
     same merges, same sizes, same exact distance floats -- on every
@@ -712,11 +722,11 @@ def test_greedy_run_bit_identical_across_kernels(knobs):
     with kernels.backend(kernels.MODE_PYTHON):
         reference = _full_fingerprint(runner())
     with kernels.backend(kernels.MODE_NUMPY):
-        vectorized = _full_fingerprint(runner())
+        vectorized = fingerprint_runs(runner, _full_fingerprint, threads)
     assert vectorized == reference
     if kernels.native_available():
         with kernels.backend(kernels.MODE_NATIVE):
-            compiled = _full_fingerprint(runner())
+            compiled = fingerprint_runs(runner, _full_fingerprint, threads)
         assert compiled == reference
 
 
@@ -779,8 +789,10 @@ def test_lazy_matches_eager_selection(seed):
         ).run()
 
     eager = runner(carry="off")
+    eager_carry = runner(carry="on", lazy="off")
     lazy = runner(carry="on", lazy="on")
     assert _full_fingerprint(lazy) == _full_fingerprint(eager)
+    assert _full_fingerprint(eager_carry) == _full_fingerprint(eager)
     rescored = sum(r.n_rescored for r in lazy.steps[1:])
     total = sum(r.n_candidates for r in lazy.steps[1:])
     assert rescored < total, "lazy selection never skipped a re-score"
@@ -838,6 +850,28 @@ def test_lazy_requires_normalized_scoring_and_carry():
         SummarizationConfig(lazy="on", scoring="ordinal")
     with pytest.raises(ValueError):
         SummarizationConfig(lazy="on", carry="off")
+
+
+def test_lazy_defaults_on_whenever_valid():
+    """``lazy`` unset (or "auto") selects lazily exactly when an
+    explicit ``lazy="on"`` would validate; ordinal scoring and
+    ``carry="off"`` stay eager instead of raising."""
+    assert SummarizationConfig().lazy_selection
+    assert SummarizationConfig(lazy="auto", carry="on").lazy_selection
+    assert not SummarizationConfig(scoring="ordinal").lazy_selection
+    assert not SummarizationConfig(carry="off").lazy_selection
+    assert not SummarizationConfig(lazy="off").lazy_selection
+    assert SummarizationConfig(lazy=True).lazy_selection
+    assert ScoringEngine(None, SummarizationConfig(), None).lazy
+    assert not ScoringEngine(None, SummarizationConfig(carry="off"), None).lazy
+
+
+@pytest.mark.parametrize("knob", ["parallelism", "parallel_threshold"])
+def test_removed_parallel_knobs_raise_type_error(knob):
+    """The forked-worker tier is gone; its knobs are not silently
+    accepted."""
+    with pytest.raises(TypeError, match=knob):
+        SummarizationConfig(**{knob: 2})
 
 
 def test_carry_counters_partition_each_step():

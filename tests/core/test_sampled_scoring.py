@@ -11,8 +11,9 @@ three levels:
 * per-candidate, against a fresh reference computer whose RNG replays
   the scorer's batch draw (SUM/MAX/COUNT, guards, group merges,
   sparse and dense accumulators);
-* per-step through the engine (dispatch paths, serial ≡ parallel,
-  carry on ≡ off, lazy ≡ eager, batch pinning across ``advance``);
+* per-step through the engine (dispatch paths, serial ≡ concurrent
+  threads, carry on ≡ off, lazy ≡ eager, batch pinning across
+  ``advance``);
 * end-to-end through greedy and beam runs, replaying every recorded
   step distance with a reference computer.
 
@@ -23,6 +24,7 @@ the exact enumerated distance.
 
 import random
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -358,30 +360,33 @@ def test_engine_sampled_measurements_match_reference():
 
 
 def test_serial_and_parallel_sampled_runs_bit_identical(kernel):
+    """Engines measuring the same step on two threads at once (the
+    threaded server's concurrent sessions) draw and score exactly what
+    a lone serial engine does."""
     problem = random_problem(6, SUM, n_terms=18)
     current, mapping, candidates = step_state(problem)
 
-    def run(parallelism):
+    def run():
         engine = engine_for(
             problem,
             sampling_computer(problem, SEED, batch=BATCH),
             max_enumerate=0,
             distance_samples=BATCH,
             incremental="off",
-            parallelism=parallelism,
-            parallel_threshold=1,
         )
         measured, _ = engine.measure(candidates, current, mapping)
-        return engine, [
+        return engine.last_path, [
             (scored.size, scored.distance.value, scored.distance.normalized)
             for scored in measured
         ]
 
-    serial_engine, serial = run(0)
-    parallel_engine, parallel = run(2)
-    assert serial_engine.last_path == ScoringEngine.PATH_SAMPLED
-    assert parallel_engine.last_path == ScoringEngine.PATH_SAMPLED
-    assert serial == parallel
+    serial_path, serial = run()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        parallel = [future.result() for future in [pool.submit(run) for _ in range(2)]]
+    assert serial_path == ScoringEngine.PATH_SAMPLED
+    for parallel_path, scores in parallel:
+        assert parallel_path == ScoringEngine.PATH_SAMPLED
+        assert scores == serial
 
 
 # -- batch pinning across steps ----------------------------------------------------

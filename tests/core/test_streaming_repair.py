@@ -15,7 +15,7 @@ annotations (``S1``, ``S2``, ...) coincide.  Everything observable is
 then compared exactly -- no tolerances anywhere.
 
 The grid covers datasets × delta schedules × VAL-FUNCs × engine knobs
-(carry/lazy on/off, parallelism off, aggregations) plus the legacy
+(carry on/off, lazy queue vs eager carry, aggregations) plus the legacy
 (non-IR) representation; the adversarial schedule spam-flags users so
 two previously-distinct equivalence classes merge mid-stream.  Beam
 search runs outside the repair path, so its leg asserts the other half
@@ -160,8 +160,8 @@ GRID = [
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(**APPEND),
-        SummarizationRequest(number_of_steps=6, parallelism="off"),
-        id="parallelism-off",
+        SummarizationRequest(number_of_steps=6, lazy="off"),
+        id="eager-carry",
     ),
 ]
 

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from repro.core import SummarizationConfig
 from repro.datasets import MovieLensConfig, generate_movielens
 from repro.prox import ProxSession
 from repro.prox.server import ProxServer
+from repro.prox.summarization import CONFIG_KNOBS, SummarizationRequest
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,27 @@ def test_errors(server):
     status, data = request(server, "POST", "/summarize", {"bogus_param": 1})
     assert status == 400
     assert "unknown summarization parameters" in data["error"]
+
+
+@pytest.mark.parametrize("knob", ["parallelism", "parallel_threshold"])
+def test_removed_scoring_knobs_are_rejected_by_name(server, knob):
+    status, data = request(server, "POST", "/summarize", {knob: 2})
+    assert status == 400
+    assert "removed summarization parameters" in data["error"]
+    assert knob in data["error"]
+
+
+def test_summarize_body_without_knobs_resolves_to_config_defaults():
+    """The request repeats no engine default: a body that sets no knob
+    yields exactly the engine settings of ``SummarizationConfig()``."""
+    resolved = SummarizationRequest(
+        **{"distance_weight": 0.5, "number_of_steps": 4}
+    ).to_config(seed=0)
+    default = SummarizationConfig(max_steps=4)
+    assert resolved == default
+    assert resolved.lazy_selection and default.lazy_selection
+    for knob in CONFIG_KNOBS:
+        assert getattr(resolved, knob) == getattr(SummarizationConfig(), knob)
 
 
 def test_summarize_before_select_conflicts():

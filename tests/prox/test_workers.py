@@ -125,6 +125,45 @@ class TestShardedServing:
         )
         assert status == 404
 
+    def test_summarize_in_a_worker_never_falls_back_to_naive(
+        self, sharded_server
+    ):
+        """Workers are daemonic processes; scoring must run its fast
+        path in-process there rather than fall back to the naive
+        reference on steps with many candidates."""
+
+        def fallbacks():
+            # Front and workers each render their registry (workers
+            # inherit the forking process's counts), so compare sums.
+            status, metrics, _ = request(sharded_server, "GET", "/metrics")
+            assert status == 200
+            values = [
+                float(line.split()[-1])
+                for line in metrics.splitlines()
+                if line.startswith("prox_scoring_fallbacks_total")
+            ]
+            assert values, "fallback counter missing from the scrape"
+            return sum(values)
+
+        before = fallbacks()
+        status, created, _ = request(
+            sharded_server, "POST", "/sessions", {"seed": 3}
+        )
+        session_id = created["session_id"]
+        request(
+            sharded_server, "POST", f"/sessions/{session_id}/select",
+            {"genre": None},
+        )
+        status, data, _ = request(
+            sharded_server, "POST", f"/sessions/{session_id}/summarize",
+            {"number_of_steps": 2},
+        )
+        assert status == 200
+        assert data["steps_detail"][0]["n_candidates"] >= 64
+        assert "naive" not in data["scoring_paths"], data["scoring_paths"]
+        assert fallbacks() == before
+        request(sharded_server, "DELETE", f"/sessions/{session_id}")
+
     def test_unscoped_data_route_is_404_in_sharded_mode(self, sharded_server):
         status, data, _ = request(
             sharded_server, "POST", "/select", {"genre": None}

@@ -38,14 +38,14 @@ def _serving(quick, p99_by_level, rps=10.0, errors=0, lost=0):
     }
 
 
-def _parallel(quick, speedups):
+def _carry(quick, reductions):
     return {
-        "benchmark": "parallel_scoring",
+        "benchmark": "candidate_carry",
         "quick": quick,
         "instance": {"dataset": "movielens", "n_users": 40},
         "modes": [
-            {"mode": mode, "speedup_vs_seed": speedup}
-            for mode, speedup in speedups.items()
+            {"mode": mode, "rescore_reduction_vs_seed": reduction}
+            for mode, reduction in reductions.items()
         ],
     }
 
@@ -105,11 +105,14 @@ def test_lower_is_better_regression_fails(dirs, capsys):
 
 def test_higher_is_better_regression_fails(dirs, capsys):
     baseline, fresh = dirs
-    _write(baseline, parallel_scoring=_parallel(False, {"seed": 1.0, "opt": 6.0}))
-    _write(fresh, parallel_scoring=_parallel(False, {"seed": 1.0, "opt": 3.0}))
+    _write(baseline, candidate_carry=_carry(False, {"seed": 1.0, "lazy": 6.0}))
+    _write(fresh, candidate_carry=_carry(False, {"seed": 1.0, "lazy": 3.0}))
     code, out = run(baseline, fresh, capsys)
     assert code == 1
-    assert "modes[opt].speedup_vs_seed (higher is better) 6.000 -> 3.000" in out
+    assert (
+        "modes[lazy].rescore_reduction_vs_seed (higher is better) "
+        "6.000 -> 3.000"
+    ) in out
 
 
 def test_improvements_never_fail(dirs, capsys):
@@ -161,13 +164,13 @@ def test_serving_floor_requires_two_levels(dirs, capsys):
     assert "fewer than two concurrency levels" in out
 
 
-def test_parallel_floor_requires_a_winning_mode(dirs, capsys):
+def test_carry_floor_rejects_a_mode_rescoring_more_than_seed(dirs, capsys):
     baseline, fresh = dirs
-    _write(baseline, parallel_scoring=_parallel(False, {"seed": 1.0, "opt": 6.0}))
-    _write(fresh, parallel_scoring=_parallel(True, {"seed": 1.0, "opt": 0.9}))
+    _write(baseline, candidate_carry=_carry(False, {"seed": 1.0, "lazy": 6.0}))
+    _write(fresh, candidate_carry=_carry(True, {"seed": 1.0, "lazy": 0.9}))
     code, out = run(baseline, fresh, capsys)
     assert code == 1
-    assert "no optimized mode beat the seed" in out
+    assert "mode lazy rescored more than seed" in out
 
 
 # -- plumbing ------------------------------------------------------------------
