@@ -131,17 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "on", "off"),
         default="auto",
         help="cross-step candidate carry: maintain the candidate pool "
-        "and delta-rescore across greedy steps (default: auto)",
-    )
-    summarize.add_argument(
-        "--lazy",
-        nargs="?",
-        const="on",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="lazy-greedy selection: re-score only queue heads, sound by "
-        "Prop 4.2.2 monotonicity (default: auto, on unless --carry off; "
-        "a bare --lazy means on)",
+        "and select through the lazy-greedy queue, re-scoring only queue "
+        "heads (sound by Prop 4.2.2 monotonicity; default: auto)",
     )
     summarize.add_argument(
         "--sample-sharing",
@@ -312,7 +303,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         merge_arity=args.arity,
         seed=args.seed,
         carry=args.carry,
-        lazy=args.lazy,
         sample_sharing=args.sample_sharing,
         sample_block=args.sample_block,
     )

@@ -14,8 +14,7 @@ Public entry points:
 * :class:`~repro.core.distance.DistanceComputer` -- exact/sampled
   summary-quality distances (Propositions 4.1.1-4.1.2).
 * :class:`~repro.core.engine.ScoringEngine` -- incremental, lazy-greedy
-  per-step candidate scoring behind the ``incremental=`` / ``carry=`` /
-  ``lazy=`` config knobs.
+  per-step candidate scoring behind the ``carry=`` config knob.
 * :class:`~repro.core.sampled_scoring.SampledStepScorer` -- the
   bit-packed Monte-Carlo kernel for classes too large to enumerate
   (``sample_sharing=`` / ``sample_block=`` config knobs).

@@ -1,22 +1,20 @@
-"""The candidate scoring engine: incremental carry + lazy-greedy selection.
+"""The candidate scoring engine: incremental scorers + lazy-greedy selection.
 
 One Algorithm-1 step measures every candidate merge's size and
 distance -- the dominant cost of the whole algorithm.  The
 :class:`ScoringEngine` owns that measurement and picks, per step, the
-cheapest path that preserves the reference semantics:
+cheapest scorer that preserves the reference semantics:
 
-* **fast** -- the batch :class:`~repro.core.fast_distance.FastStepScorer`
-  when its preconditions hold;
 * **fast + incremental** -- an
   :class:`~repro.core.fast_distance.IncrementalStepScorer` carried
   across steps (:meth:`ScoringEngine.advance` invalidates only the
-  merged neighborhood) with sparse per-candidate metrics;
-* **sampled** / **sampled + incremental** -- the
+  merged neighborhood) with sparse per-candidate metrics, when the
+  class is small enough to enumerate;
+* **sampled + incremental** -- the
   :class:`~repro.core.sampled_scoring.SampledStepScorer` when the
   class is too large to enumerate: the same bitmask kernel over one
-  shared Monte-Carlo batch per step (common random numbers), carried
-  across steps with its batch pinned so the candidate carry and the
-  lazy queue stay sound;
+  shared Monte-Carlo batch (common random numbers), carried across
+  steps with its batch pinned so the lazy queue stays sound;
 * **naive** -- the reference :class:`~repro.core.distance
   .DistanceComputer` applied to each materialized candidate expression
   (for large classes this is the per-candidate reference sampler --
@@ -33,29 +31,16 @@ step through the naive path rather than crashing or returning a
 partial candidate list.  ``path_counts`` records which path every step
 actually took.
 
-Knob resolution (``SummarizationConfig``):
+Selection has exactly two modes (``SummarizationConfig.lazy_selection``):
 
-* ``incremental``: ``None`` ("auto") and ``True`` ("on") carry the step
-  scorer; ``False`` ("off") rebuilds a dense scorer every step (seed
-  behavior).
-* ``carry``: ``None`` ("auto") and ``True`` ("on") keep candidate
-  *measurements* across steps as well.  Under eager selection
-  (``lazy`` off) disjoint candidates are delta-corrected (exact size
-  shift, shared per-valuation distance delta) and only the
-  merge-affected neighborhood is re-scored, then a ``refresh_near``
-  confirmation pass re-scores everything within 1e-9 of the head so
-  selection stays bit-identical to a full re-score.  ``False`` ("off")
-  restores the full per-step re-score.  The carry engages only with
-  ``scoring="normalized"`` (ordinal ranks compare floats exactly) and a
-  sparse incremental scorer; otherwise the pool still maintains the
-  candidate list but every candidate is re-scored.
-* ``lazy``: selects the winner through a lazy-greedy priority queue --
-  stale distance scores are lower bounds by Prop 4.2.2 monotonicity, so
-  only popped queue heads are re-scored until the head is fresh.
-  ``None`` ("auto", the default) turns it on whenever it is valid:
-  ``scoring="normalized"`` and ``carry`` not off.  An explicit ``True``
-  ("on") is validated against the same two conditions by
-  ``SummarizationConfig``; ``False`` ("off") keeps eager selection.
+* **lazy** (:meth:`ScoringEngine.measure_lazy`) whenever
+  ``scoring="normalized"`` and ``carry`` is not off: candidates sit in
+  a lazy-greedy priority queue of carried measurements.  Stale distance
+  scores are lower bounds by Prop 4.2.2 monotonicity, so only popped
+  queue heads are re-scored until the head is fresh.
+* **full re-score** (:meth:`ScoringEngine.measure`) otherwise -- ordinal
+  scoring (ranks compare raw floats for exact ties), ``carry="off"``
+  and beam search: every candidate is scored every step.
 """
 
 from __future__ import annotations
@@ -69,7 +54,7 @@ from ..observability import metrics as _metrics
 from ..observability import tracing as _tracing
 from ..provenance.annotations import Annotation, AnnotationUniverse
 from .candidates import Candidate, virtual_summary
-from .distance import DistanceComputer, DistanceEstimate
+from .distance import DistanceComputer
 from .fast_distance import FastStepScorer, IncrementalStepScorer
 from .mapping import MappingState
 from .sampled_scoring import SampledStepScorer
@@ -96,12 +81,12 @@ _SCORING_FALLBACKS = _metrics.counter(
 _SCORING_CARRIED = _metrics.counter(
     "prox_scoring_candidates_carried_total",
     "Candidates whose measurement was carried across a step "
-    "(delta-corrected or served stale from the lazy queue).",
+    "(served stale from the lazy queue).",
 )
 _SCORING_RESCORED = _metrics.counter(
     "prox_scoring_candidates_rescored_total",
-    "Candidates freshly re-scored under cross-step carry "
-    "(intersecting, new, or confirmation re-scores).",
+    "Candidates freshly re-scored (every candidate of a full "
+    "re-score; new or popped stale heads of the lazy queue).",
 )
 _SCORING_SAMPLED_FAST = _metrics.counter(
     "prox_scoring_sampled_fast_total",
@@ -115,10 +100,9 @@ _SAMPLE_BATCH_REUSE = _metrics.counter(
 )
 
 
-#: Float-association dust bound between a carried (delta-corrected or
-#: repair-seeded) measurement and a fresh walk: ``refresh_near``
-#: re-scores carried entries within it of the head, and the lazy queue
-#: lowers seeded entries' keys by it so they stay lower bounds.
+#: Float-association dust bound between a repair-seeded measurement and
+#: a fresh walk: the lazy queue lowers seeded entries' keys by it so they
+#: stay lower bounds.
 _CARRY_TOLERANCE = 1e-9
 
 
@@ -154,9 +138,7 @@ class ScoringEngine:
     #: reads it to count multi-process steps.
     last_workers: int = 1
 
-    PATH_FAST = "fast"
     PATH_FAST_INCREMENTAL = "fast+incremental"
-    PATH_SAMPLED = "sampled"
     PATH_SAMPLED_INCREMENTAL = "sampled+incremental"
     PATH_NAIVE = "naive"
 
@@ -164,20 +146,10 @@ class ScoringEngine:
         self.problem = problem
         self.config = config
         self.computer = computer
-        self._incremental = config.incremental is not False
-        # Cross-step candidate carry (delta re-scoring) only serves
-        # "normalized" scoring: ordinal ranks compare raw floats for
-        # exact tie equality, which carried-sum association dust would
-        # perturb.  The candidate *pool* carry is scorer-independent
-        # and stays available either way (see core.pool).
-        self._carry = (
-            getattr(config, "carry", None) is not False
-            and config.scoring == "normalized"
-        )
         self._lazy = config.lazy_selection
         # Lazy step 0 keeps the (size, accumulators, weighted_finished)
         # detail the repair checkpoint needs only when the run captures
-        # one (eager carry keeps it anyway).
+        # one.
         self._repair = getattr(config, "repair", None) is not False
         # Bit-packed sampled scoring for classes too large to
         # enumerate: one shared Monte-Carlo batch per step instead of
@@ -188,14 +160,13 @@ class ScoringEngine:
             getattr(config, "sample_sharing", None) is not False
         )
         self._scorer: Optional[IncrementalStepScorer] = None
-        #: Carried per-candidate measurements keyed by parts tuple:
-        #: ``(size, accumulators, weighted_finished)`` in delta-carry
-        #: mode, ``(size, estimate)`` in lazy mode.  Valid only while
-        #: ``_carry_expr`` tracks the scorer's current expression
-        #: through advance().
+        #: The lazy queue's carried ``(size, estimate)`` measurements
+        #: keyed by parts tuple.  Valid only while ``_carry_expr``
+        #: tracks the scorer's current expression through advance().
         self._carry_store: Dict[Tuple[str, ...], tuple] = {}
-        #: Lazy mode's step-0 detail store (delta-carry layout) for
-        #: :meth:`capture_repair_checkpoint`; ``None`` otherwise.
+        #: Lazy step 0's ``(size, accumulators, weighted_finished)``
+        #: detail store for :meth:`capture_repair_checkpoint`; ``None``
+        #: otherwise.
         self._checkpoint_store: Optional[Dict[Tuple[str, ...], tuple]] = None
         self._carry_expr: object = None
         self._carry_ready: bool = False
@@ -207,9 +178,6 @@ class ScoringEngine:
         #: re-scored (telemetry for the streaming-repair harness).
         self.last_repair_seeded: int = 0
         self.last_repair_rescored: int = 0
-        #: Parts whose current measurement is delta-carried (stale);
-        #: ``refresh_near`` re-scores these exactly on demand.
-        self._stale: set = set()
         #: Path taken by the most recent :meth:`measure` call.
         self.last_path: str = ""
         #: Kernel backend that folded the most recent step's masks
@@ -223,7 +191,7 @@ class ScoringEngine:
         self.last_sample_variance: float = 0.0
         self.last_batch_reused: bool = False
         #: Carried / freshly re-scored candidate counts of the most
-        #: recent step (refresh_near moves entries carried → rescored).
+        #: recent step.
         self.last_carried: int = 0
         self.last_rescored: int = 0
         #: Lifetime totals of the two counts above.
@@ -272,8 +240,7 @@ class ScoringEngine:
         current,
         mapping: MappingState,
     ) -> Tuple[List[ScoredCandidate], float]:
-        # Default partition: everything freshly scored.  The carry
-        # branch of _score_step overwrites both counts.
+        # A full re-score: every candidate is freshly scored.
         self.last_carried = 0
         self.last_rescored = len(candidates)
         self.last_sample_batch = 0
@@ -289,13 +256,15 @@ class ScoringEngine:
                 self._note_fallback()
             if scorer is not None:
                 started = time.perf_counter()
+                # No carried measurement outlives a full re-score.
+                self._repair_seed = None
+                self._invalidate_carry()
                 try:
-                    results = self._score_step(scorer, candidates)
+                    results = [scorer.score(candidate.parts) for candidate in candidates]
                 except Exception:
                     # The fast path bailed mid-run: never crash or skip
                     # candidates -- rescore the whole step naively.
                     self._scorer = None
-                    self._invalidate_carry()
                     self._note_fallback()
                 else:
                     measured = [
@@ -343,20 +312,12 @@ class ScoringEngine:
             return "sampled"
         return None
 
-    def _scorer_path(self, scorer: FastStepScorer) -> str:
-        # SampledStepScorer subclasses IncrementalStepScorer: test the
-        # most specific flavor first.
+    def _scorer_path(self, scorer: IncrementalStepScorer) -> str:
         if isinstance(scorer, SampledStepScorer):
-            return (
-                self.PATH_SAMPLED_INCREMENTAL
-                if self._incremental
-                else self.PATH_SAMPLED
-            )
-        if isinstance(scorer, IncrementalStepScorer):
-            return self.PATH_FAST_INCREMENTAL
-        return self.PATH_FAST
+            return self.PATH_SAMPLED_INCREMENTAL
+        return self.PATH_FAST_INCREMENTAL
 
-    def _note_sample_step(self, scorer: FastStepScorer) -> None:
+    def _note_sample_step(self, scorer: IncrementalStepScorer) -> None:
         if isinstance(scorer, SampledStepScorer):
             self.last_sample_batch = scorer.batch_size
             self.last_sample_variance = scorer.batch_variance
@@ -384,9 +345,8 @@ class ScoringEngine:
             self._scorer = None
             self._invalidate_carry()
             return
-        # Re-link the carried candidate measurements to the new
-        # expression; delta carry additionally needs the merge's
-        # per-valuation baseline delta (sparse scorers only).
+        # Re-link the lazy queue's carried measurements to the new
+        # expression.
         linked = self._carry_ready and self._carry_expr is measured_expr
         if linked:
             # A merge whose global term-canonicalization collapsed
@@ -394,68 +354,18 @@ class ScoringEngine:
             # carried-size identity for every candidate (the candidate's
             # own merge would collapse the same pair), not just for
             # intersecting ones -- drop the whole carry and re-measure.
-            linked = getattr(scorer, "last_shift_local", True)
-        if linked and not self._lazy:
-            linked = getattr(scorer, "last_delta", None) is not None
+            linked = scorer.last_shift_local
         if linked:
             self._carry_expr = new_expression
         else:
             self._invalidate_carry()
 
-    def refresh_near(
-        self,
-        scored: Sequence[ScoredCandidate],
-        tolerance: float = _CARRY_TOLERANCE,
-    ) -> int:
-        """Freshly re-score carried entries near the provisional winner.
-
-        ``scored`` must be sorted best-first.  Every stale (carried)
-        entry whose score is within ``tolerance`` of the head is
-        re-scored exactly and its store entry replaced; the caller
-        re-ranks and calls again until this returns 0.  Delta-carried
-        sums can drift from a fresh walk by float-association dust
-        (≪ ``tolerance``), so once every entry that could contend with
-        the winner is fresh, the selected winner -- and its recorded
-        size/distance -- is bit-identical to a carry-off run.
-        """
-        if not self._stale or not scored:
-            return 0
-        scorer = self._scorer
-        if scorer is None:
-            self._stale.clear()
-            return 0
-        bound = scored[0].score + tolerance
-        refreshed = 0
-        try:
-            for entry in scored:
-                if entry.score > bound:
-                    break
-                parts = entry.candidate.parts
-                if parts not in self._stale:
-                    continue
-                size, estimate, accs, wf = scorer.score_detail(parts)
-                entry.size = size
-                entry.distance = estimate
-                self._carry_store[parts] = (size, accs, wf)
-                self._stale.discard(parts)
-                refreshed += 1
-        except Exception:
-            # Confirmation is hardening on top of already-valid carried
-            # measurements; on failure keep them and drop the carry so
-            # the next step re-scores everything from scratch.
-            self._scorer = None
-            self._invalidate_carry()
-            self._stale.clear()
-            self._note_fallback()
-            return 0
-        if refreshed:
-            self.last_carried -= refreshed
-            self.last_rescored += refreshed
-            self.total_carried -= refreshed
-            self.total_rescored += refreshed
-            if _metrics.ENABLED:
-                _SCORING_RESCORED.inc(refreshed)
-        return refreshed
+    def refresh_near(self, scored: Sequence[ScoredCandidate]) -> int:
+        """Always 0: no selection path carries stale scores into a full
+        ranking any more.  Kept because the perfbench tracer binds
+        ``ScoringEngine.__dict__["refresh_near"]``, as it reads
+        :attr:`last_workers`."""
+        return 0
 
     def capture_repair_checkpoint(self) -> Optional[dict]:
         """Snapshot the current step's measurement state for repair.
@@ -469,18 +379,18 @@ class ScoringEngine:
         reproducible across runs, and a dense scorer keeps no
         per-candidate accumulators -- in which case the repaired run
         simply re-scores from scratch (correct, just not accelerated).
-        Lazy mode reads the step-0 detail store :meth:`_lazy_select`
-        kept beside its ``(size, estimate)`` queue store.
+        The snapshot is the step-0 detail store :meth:`_lazy_select`
+        kept beside its ``(size, estimate)`` queue store; full re-score
+        steps keep none.
         """
         scorer = self._scorer
-        store = self._checkpoint_store if self._lazy else self._carry_store
+        store = self._checkpoint_store
+        # _lazy_select keeps the detail store only for sparse,
+        # enumerating scorers; any scorer swap invalidates it.
         if (
             store is None
             or not self._carry_ready
             or scorer is None
-            or isinstance(scorer, SampledStepScorer)
-            or not isinstance(scorer, IncrementalStepScorer)
-            or not scorer._sparse
             or self._carry_expr is not scorer.current
         ):
             return None
@@ -488,10 +398,9 @@ class ScoringEngine:
         if len(set(labels)) != len(labels):
             return None
         return {
-            # Copy the carried lists, not just the dict: later steps
-            # mutate store entries in place (carried_score_fast with
-            # mutate=True), and the checkpoint must keep step 0's
-            # accumulators intact for the next run's seed.
+            # Copy the carried lists, not just the dict: the checkpoint
+            # must keep step 0's accumulators intact for the next run's
+            # seed whatever later steps do to the store.
             "store": {
                 parts: (entry[0], list(entry[1]), list(entry[2]))
                 for parts, entry in store.items()
@@ -580,10 +489,7 @@ class ScoringEngine:
 
     def _sampled_step(self) -> bool:
         """Whether the most recent step ran the sampled kernel."""
-        return self.last_path in (
-            self.PATH_SAMPLED,
-            self.PATH_SAMPLED_INCREMENTAL,
-        )
+        return self.last_path == self.PATH_SAMPLED_INCREMENTAL
 
     def _set_sample_attrs(self, span) -> None:
         # Only when the sampled kernel actually engaged: enumerated
@@ -619,18 +525,11 @@ class ScoringEngine:
         self._checkpoint_store = None
         self._carry_expr = None
         self._carry_ready = False
-        self._stale = set()
 
     def _obtain_scorer(
         self, current, mapping: MappingState, mode: str = "exact"
-    ) -> FastStepScorer:
+    ) -> IncrementalStepScorer:
         if mode == "sampled":
-            if not self._incremental:
-                # Fresh scorer, fresh batch every step (the in-step
-                # batch sharing across candidates still applies).
-                return SampledStepScorer(
-                    self.computer, current, mapping, self.problem.universe
-                )
             carried = self._scorer
             if isinstance(carried, SampledStepScorer) and carried.current is current:
                 # The carried scorer keeps its pinned batch: stale
@@ -643,10 +542,6 @@ class ScoringEngine:
             )
             self._invalidate_carry()
             return self._scorer
-        if not self._incremental:
-            return FastStepScorer(
-                self.computer, current, mapping, self.problem.universe
-            )
         carried = self._scorer
         if (
             carried is not None
@@ -659,84 +554,6 @@ class ScoringEngine:
         )
         self._invalidate_carry()
         return self._scorer
-
-    def _score_step(
-        self, scorer: FastStepScorer, candidates: Sequence[Candidate]
-    ) -> List[Tuple[int, DistanceEstimate]]:
-        """One step's measurements, carrying disjoint candidates.
-
-        When the carry is live (the store was measured against the
-        expression the scorer just advanced from), candidates disjoint
-        from the applied merge's neighborhood get their carried size
-        plus the merge's exact size shift and their carried accumulator
-        plus the per-valuation baseline delta; only the intersecting /
-        new candidates are freshly scored.  Carried entries are marked
-        stale for :meth:`refresh_near`.
-        """
-        self._stale = set()
-        seed = self._repair_seed
-        self._repair_seed = None
-        capture = (
-            self._carry
-            and not self._lazy
-            and isinstance(scorer, IncrementalStepScorer)
-            and scorer._sparse
-        )
-        if not capture:
-            self._invalidate_carry()
-            return [scorer.score(candidate.parts) for candidate in candidates]
-        live = (
-            self._carry_ready
-            and self._carry_expr is scorer.current
-            and scorer.last_delta is not None
-        )
-        if not live:
-            detail, stale = self._step0_detail(scorer, candidates, seed)
-            self._carry_store = {
-                candidate.parts: (size, accs, wf)
-                for candidate, (size, _, accs, wf) in zip(candidates, detail)
-            }
-            self._carry_expr = scorer.current
-            self._carry_ready = True
-            self._stale = stale
-            self._tally(len(stale), len(candidates) - len(stale))
-            return [(size, estimate) for size, estimate, _, _ in detail]
-
-        store = self._carry_store
-        deltas = scorer.last_delta
-        # The merge's baseline delta is nonzero at a handful of
-        # positions; the carried fast path touches only those and
-        # re-sums the stored weighted contributions in C.
-        touched = [index for index, delta in enumerate(deltas) if delta != 0.0]
-        shift = scorer.last_size_shift
-        results: List[Optional[Tuple[int, DistanceEstimate]]] = [None] * len(
-            candidates
-        )
-        new_store: Dict[Tuple[str, ...], tuple] = {}
-        rescore: List[int] = []
-        stale: set = set()
-        for index, candidate in enumerate(candidates):
-            entry = store.get(candidate.parts)
-            if entry is None or scorer.candidate_intersects(candidate.parts):
-                rescore.append(index)
-                continue
-            size = entry[0] + shift
-            estimate, accs, wf = scorer.carried_score_fast(
-                entry[1], entry[2], deltas, touched, mutate=True
-            )
-            results[index] = (size, estimate)
-            new_store[candidate.parts] = (size, accs, wf)
-            stale.add(candidate.parts)
-        for index in rescore:
-            parts = candidates[index].parts
-            size, estimate, accs, wf = scorer.score_detail(parts)
-            results[index] = (size, estimate)
-            new_store[parts] = (size, accs, wf)
-        self._carry_store = new_store
-        self._carry_expr = scorer.current
-        self._stale = stale
-        self._tally(len(candidates) - len(rescore), len(rescore))
-        return results
 
     def _tally(self, carried: int, rescored: int) -> None:
         """Record one step's carried / freshly re-scored partition."""
@@ -751,10 +568,10 @@ class ScoringEngine:
         candidates: Sequence[Candidate],
         seed: Optional[tuple],
     ) -> Tuple[List[tuple], Set[Tuple[str, ...]]]:
-        """Full ``(size, estimate, accs, wf)`` measurements of a step
-        with no live carry, re-based on the repair seed when one
-        applies.  Returns the measurements and the parts served from
-        the seed (stale until re-scored)."""
+        """Full ``(size, estimate, accs, wf)`` measurements of lazy
+        step 0, re-based on the repair seed when one applies.  Returns
+        the measurements and the parts served from the seed (stale
+        until re-scored)."""
         if seed is not None:
             try:
                 seeded = self._score_from_seed(scorer, candidates, *seed)
@@ -933,7 +750,7 @@ class ScoringEngine:
         self.last_sample_batch = 0
         self.last_sample_variance = 0.0
         self.last_batch_reused = False
-        scorer: Optional[FastStepScorer] = None
+        scorer: Optional[IncrementalStepScorer] = None
         mode = self._step_mode(current)
         if mode is not None:
             try:
@@ -942,14 +759,7 @@ class ScoringEngine:
                 self._scorer = None
                 scorer = None
                 self._note_fallback()
-        # The lazy queue needs a *carried* incremental scorer (advance
-        # continuity keeps stale entries lower bounds); a fresh
-        # per-step scorer -- incremental off -- falls back either way.
-        if (
-            scorer is None
-            or scorer is not self._scorer
-            or not isinstance(scorer, IncrementalStepScorer)
-        ):
+        if scorer is None:
             return self._lazy_fallback(
                 candidates, current, mapping, w_dist, w_size, original_size
             )
@@ -1089,7 +899,6 @@ class ScoringEngine:
         self._checkpoint_store = detail_store
         self._carry_expr = scorer.current
         self._carry_ready = True
-        self._stale = set()
 
         size, estimate, _ = entries[best_index]
         r_dist = estimate.normalized

@@ -4,9 +4,9 @@ A :class:`MaskTable` is an ``n_rows × n_words`` block of little-endian
 64-bit words backed by one flat ``array('Q')``: row ``r`` holds the
 packed bitset of key ``r``, bit ``i`` (word ``i >> 6``, bit
 ``i & 63``) ⇔ valuation/draw position ``i``.  Rows are handed out as
-zero-copy ``memoryview`` slices, so ``packed_masks()`` /
-``packed_term_dead()`` read the same buffer the kernel wrote -- no
-per-call ``to_bytes`` conversion.
+zero-copy ``memoryview`` slices, so the scorers' mask rows (and the
+sampled scorer's ``packed_masks()``) read the same buffer the kernel
+wrote -- no per-call ``to_bytes`` conversion.
 
 Invariant: every row is *tail-clamped* -- bits at positions
 ``>= n_vals`` are zero.  Kernel ops may rely on it for popcounts and

@@ -82,28 +82,16 @@ class SummarizationConfig:
     Scoring-engine knobs (see :mod:`repro.core.engine`; scoring always
     runs serially in the calling process):
 
-    * ``incremental`` -- carry scoring state across greedy steps,
-      invalidating only the merged neighborhood.  ``None``/``"auto"``
-      and ``True``/``"on"`` enable the carry whenever the fast path
-      applies; ``False``/``"off"`` rebuilds from scratch every step
-      (the seed behavior).
     * ``carry`` -- cross-step candidate carry (see :mod:`repro.core
-      .pool` and the engine's delta re-scoring).  ``None``/``"auto"``
-      and ``True``/``"on"`` maintain the candidate pool incrementally
-      across steps and re-score only the candidates the applied merge
-      affects; ``False``/``"off"`` re-enumerates and re-scores
-      everything every step (the seed behavior).  Output is identical
-      either way.
-    * ``lazy`` -- lazy-greedy candidate selection: candidates sit in a
-      priority queue of possibly-stale scores; only entries popped
-      from the head are re-scored (sound because stale scores are
-      lower bounds, Prop 4.2.2).  ``None``/``"auto"`` (the default)
-      selects lazily whenever that is valid -- ``scoring="normalized"``
-      and ``carry`` not off -- and eagerly otherwise (see
-      :attr:`lazy_selection`); ``True``/``"on"`` requires both
-      conditions; ``False``/``"off"`` keeps eager selection with the
-      delta-corrected candidate carry.  Output is identical either
-      way.
+      .pool` and the engine's lazy queue).  ``None``/``"auto"`` and
+      ``True``/``"on"`` maintain the candidate pool incrementally
+      across steps and, with ``scoring="normalized"``, select through
+      the lazy-greedy queue: candidates keep possibly-stale scores and
+      only entries popped from the head are re-scored (sound because
+      stale scores are lower bounds, Prop 4.2.2; see
+      :attr:`lazy_selection`).  ``False``/``"off"`` re-enumerates and
+      re-scores everything every step (the seed behavior).  Output is
+      identical either way.
     * ``sample_sharing`` -- bit-packed sampled scoring for valuation
       classes too large to enumerate (see :mod:`repro.core
       .sampled_scoring`).  ``None``/``"auto"`` and ``True``/``"on"``
@@ -131,7 +119,8 @@ class SummarizationConfig:
       (asserted by ``tests/core/test_streaming_repair.py``).
     """
 
-    _INCREMENTAL_WORDS = {"auto": None, "on": True, "true": True, "off": False, "false": False}
+    _TRI_STATE_WORDS = {"auto": None, "on": True, "true": True, "off": False, "false": False}
+    _TRI_STATE_KNOBS = ("carry", "sample_sharing", "repair")
 
     w_dist: float = 0.5
     w_size: Optional[float] = None
@@ -147,52 +136,22 @@ class SummarizationConfig:
     delta: float = 0.9
     candidate_cap: Optional[int] = None
     seed: int = 0
-    incremental: Union[bool, str, None] = None
     carry: Union[bool, str, None] = None
-    lazy: Union[bool, str, None] = None
     sample_sharing: Union[bool, str, None] = None
     sample_block: int = 64
     repair: Union[bool, str, None] = None
     slo_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.incremental, str):
-            word = self.incremental.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    "incremental must be 'auto', 'on' or 'off', "
-                    f"got {self.incremental!r}"
-                )
-            self.incremental = self._INCREMENTAL_WORDS[word]
-        if isinstance(self.carry, str):
-            word = self.carry.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    f"carry must be 'auto', 'on' or 'off', got {self.carry!r}"
-                )
-            self.carry = self._INCREMENTAL_WORDS[word]
-        if isinstance(self.lazy, str):
-            word = self.lazy.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    f"lazy must be 'auto', 'on' or 'off', got {self.lazy!r}"
-                )
-            self.lazy = self._INCREMENTAL_WORDS[word]
-        if isinstance(self.sample_sharing, str):
-            word = self.sample_sharing.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    "sample_sharing must be 'auto', 'on' or 'off', "
-                    f"got {self.sample_sharing!r}"
-                )
-            self.sample_sharing = self._INCREMENTAL_WORDS[word]
-        if isinstance(self.repair, str):
-            word = self.repair.strip().lower()
-            if word not in self._INCREMENTAL_WORDS:
-                raise ValueError(
-                    f"repair must be 'auto', 'on' or 'off', got {self.repair!r}"
-                )
-            self.repair = self._INCREMENTAL_WORDS[word]
+        for name in self._TRI_STATE_KNOBS:
+            value = getattr(self, name)
+            if isinstance(value, str):
+                word = value.strip().lower()
+                if word not in self._TRI_STATE_WORDS:
+                    raise ValueError(
+                        f"{name} must be 'auto', 'on' or 'off', got {value!r}"
+                    )
+                setattr(self, name, self._TRI_STATE_WORDS[word])
         if self.slo_seconds is not None:
             self.slo_seconds = float(self.slo_seconds)
             if self.slo_seconds <= 0:
@@ -217,24 +176,10 @@ class SummarizationConfig:
             raise ValueError(
                 f"scoring must be one of {SCORING_STRATEGIES}, got {self.scoring!r}"
             )
-        if self.lazy:
-            if self.scoring != "normalized":
-                raise ValueError(
-                    "lazy candidate selection requires the 'normalized' "
-                    "scoring strategy (stale lower bounds only order "
-                    "absolute scores, not per-step ordinal ranks)"
-                )
-            if self.carry is False:
-                raise ValueError(
-                    "lazy candidate selection requires carry; pass "
-                    "carry='auto'/'on' or drop lazy='on'"
-                )
 
     @property
     def lazy_selection(self) -> bool:
-        """Whether the greedy loop selects through the lazy queue:
-        ``lazy`` when set, else on iff it is valid (``scoring=
-        "normalized"`` and ``carry`` not off)."""
-        if self.lazy is None:
-            return self.scoring == "normalized" and self.carry is not False
-        return bool(self.lazy)
+        """Whether the greedy loop selects through the lazy queue: on
+        iff ``scoring="normalized"`` (stale lower bounds order absolute
+        scores, not per-step ordinal ranks) and ``carry`` is not off."""
+        return self.scoring == "normalized" and self.carry is not False

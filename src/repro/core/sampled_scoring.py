@@ -35,12 +35,11 @@ Monte-Carlo batch per step:
   layout; the per-batch statistics fold in the same 64-draw blocks.
 * **Deterministic batches make carried measurements valid.**  The
   batch is drawn once per scorer and *never* redrawn by
-  :meth:`advance`: Prop 4.2.2's monotonicity (the engine's carry/lazy
-  machinery treats stale distances as lower bounds) holds pointwise
-  per valuation, so it survives sampling only while the valuation set
-  is fixed.  With the batch pinned, the cross-step candidate carry and
-  the lazy-greedy queue treat sampled distances exactly like
-  enumerated ones.
+  :meth:`advance`: Prop 4.2.2's monotonicity (the engine's lazy queue
+  treats stale distances as lower bounds) holds pointwise per
+  valuation, so it survives sampling only while the valuation set is
+  fixed.  With the batch pinned, the lazy-greedy queue treats sampled
+  distances exactly like enumerated ones.
 
 Estimates report ``exact=False`` with ``n_valuations`` equal to the
 batch size, mirroring the reference sampled estimator; under a shared
@@ -54,7 +53,6 @@ preconditions fail.
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Dict, List, Optional
 
 from ..provenance.annotations import AnnotationUniverse
@@ -63,7 +61,6 @@ from ..provenance.valuation_classes import ValuationClass
 from .combiners import DomainCombiners
 from .distance import DistanceComputer, DistanceEstimate
 from .fast_distance import FastStepScorer, IncrementalStepScorer
-from .kernels import MaskTable
 from .kernels.masktable import WordRow
 from .mapping import MappingState
 
@@ -114,12 +111,6 @@ class SampledStepScorer(IncrementalStepScorer):
         #: mask-reuse regression test asserts this stays sub-linear in
         #: steps x terms while the batch survives ``advance``.
         self.mask_builds = 0
-        #: Count of packed-view materializations (see
-        #: :meth:`packed_term_dead_table`); the re-packing regression
-        #: test asserts repeated reads within one step cost one build.
-        self.pack_builds = 0
-        self._packed_term_table: Optional[MaskTable] = None
-        self._packed_term_rows: Optional[List[WordRow]] = None
         self._packed_mask_views: Optional[Dict[object, WordRow]] = None
         super().__init__(computer, current, mapping, universe, sparse=sparse)
         self._compute_batch_stats()
@@ -237,37 +228,6 @@ class SampledStepScorer(IncrementalStepScorer):
             self._packed_mask_views = dict(self._mask)
         return self._packed_mask_views
 
-    def packed_term_dead_table(self) -> MaskTable:
-        """The per-term dead rows as one contiguous :class:`MaskTable`.
-
-        Built at most once per step (``advance`` invalidates): the
-        term-dead list mixes views into the step's mask table with
-        standalone merged rows, so the contiguous image is materialized
-        here and memoized.  ``pack_builds`` counts materializations.
-        """
-        if self._packed_term_table is None:
-            dead = self._term_dead
-            table = MaskTable(len(dead), self.n_vals)
-            words = table.words
-            n_words = table.n_words
-            for index, row in enumerate(dead):
-                words[index * n_words : (index + 1) * n_words] = array(
-                    "Q", row
-                )
-            self._packed_term_table = table
-            self.pack_builds += 1
-        return self._packed_term_table
-
-    def packed_term_dead(self) -> List[WordRow]:
-        """Per-term dead bits in the ``array('Q')`` word layout.
-
-        Zero-copy views into :meth:`packed_term_dead_table`, memoized
-        until the next ``advance``.
-        """
-        if self._packed_term_rows is None:
-            self._packed_term_rows = self.packed_term_dead_table().rows()
-        return self._packed_term_rows
-
     def _compute_batch_stats(self) -> None:
         """Weighted mean/variance of the baseline's per-draw values.
 
@@ -334,9 +294,7 @@ class SampledStepScorer(IncrementalStepScorer):
         constructs a fresh scorer.
         """
         super().advance(parts, new_name, new_expression, new_mapping)
-        # The term table (and possibly the mask dict) moved: the packed
-        # views must be re-materialized on next read.
-        self._packed_term_table = None
-        self._packed_term_rows = None
+        # The mask dict moved: the packed view must be re-materialized
+        # on next read.
         self._packed_mask_views = None
         self._compute_batch_stats()

@@ -90,12 +90,13 @@ class StepRecord:
     n_candidates: int
     candidate_seconds: float
     step_seconds: float
-    #: Which engine path measured this step's candidates ("fast",
-    #: "fast+incremental" or "naive"); "" in records predating the engine.
+    #: Which engine path measured this step's candidates
+    #: ("fast+incremental", "sampled+incremental" or "naive"); "" in
+    #: records predating the engine.
     scoring_path: str = ""
-    #: Candidates freshly scored this step (all of them without
-    #: cross-step carry; only the merge-affected set plus confirmation
-    #: re-scores under carry); -1 in records predating the carry.
+    #: Candidates freshly scored this step (all of them under a full
+    #: re-score; only new and popped stale queue heads under the lazy
+    #: queue); -1 in records predating the carry.
     n_rescored: int = -1
 
     @property
@@ -371,41 +372,26 @@ class Summarizer:
                         config.w_size,
                         original.size(),
                     )
-                    candidate_seconds = scoring_seconds / len(candidates)
                 else:
                     measured, scoring_seconds = engine.measure(
                         candidates, current, mapping
                     )
-                    candidate_seconds = scoring_seconds / len(candidates)
-                    scored = score_candidates(
+                    best = score_candidates(
                         measured,
                         w_dist=config.w_dist,
                         w_size=config.w_size,
                         original_size=original.size(),
                         strategy=config.scoring,
-                    )
-                    # Winner confirmation: any delta-carried entry that
-                    # could contend with the head is re-scored exactly,
-                    # then the step re-ranks -- the recorded winner is
-                    # bit-identical to a carry-off run.
-                    while engine.refresh_near(scored):
-                        scored = score_candidates(
-                            measured,
-                            w_dist=config.w_dist,
-                            w_size=config.w_size,
-                            original_size=original.size(),
-                            strategy=config.scoring,
-                        )
-                    best = scored[0]
+                    )[0]
+                candidate_seconds = scoring_seconds / len(candidates)
 
                 if (
                     new_state is not None
                     and not steps
                     and new_state.checkpoint is None
                 ):
-                    # Step-0 capture (engine half): the measurement
-                    # store, after winner confirmation made every
-                    # near-head entry exact.
+                    # Step-0 capture (engine half): the lazy queue's
+                    # step-0 measurement store.
                     new_state.checkpoint = engine.capture_repair_checkpoint()
 
                 summary_parts = [problem.universe[name] for name in best.candidate.parts]

@@ -365,10 +365,7 @@ class ProxApp:
         }
         removed = sorted(set(body).intersection(REMOVED_KNOBS))
         if removed:
-            raise ValueError(
-                f"removed summarization parameters: {removed} "
-                "(candidate scoring always runs serially)"
-            )
+            raise ValueError(f"removed summarization parameters: {removed}")
         unknown = set(body) - allowed - {"seed", "session_id"}
         if unknown:
             raise ValueError(f"unknown summarization parameters: {sorted(unknown)}")

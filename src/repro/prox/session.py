@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import weakref
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.streaming import ProvenanceDelta, apply_delta
@@ -34,7 +34,7 @@ from ..provenance import ir as _ir
 from ..provenance.tensor_sum import TensorSum
 from .evaluator import EvaluationOutcome, EvaluatorService
 from .selection import SelectionService
-from .summarization import SummarizationRequest, SummarizationService
+from .summarization import REMOVED_KNOBS, SummarizationRequest, SummarizationService
 
 _INGEST_DELTAS = _metrics.counter(
     "prox_ingest_deltas_total",
@@ -70,6 +70,27 @@ def _instance_from_recipe(recipe: Mapping[str, Any]) -> DatasetInstance:
     if "constraint_attributes" in config:
         config["constraint_attributes"] = tuple(config["constraint_attributes"])
     return generate_movielens(MovieLensConfig(**config))
+
+
+def _stored_request(stored: object) -> Dict[str, object]:
+    """A snapshot's last summarize request as ``SummarizationRequest``
+    keyword arguments.
+
+    Keys of removed knobs are dropped (each was output-neutral, so an
+    older snapshot naming one summarizes the same without it); any
+    other unknown key marks a corrupt snapshot.
+    """
+    from ..serialization import SerializationError
+
+    if not isinstance(stored, dict):
+        raise SerializationError("snapshot summarize request is not an object")
+    request = {key: value for key, value in stored.items() if key not in REMOVED_KNOBS}
+    unknown = set(request) - {field.name for field in fields(SummarizationRequest)}
+    if unknown:
+        raise SerializationError(
+            f"snapshot summarize request has unknown parameters: {sorted(unknown)}"
+        )
+    return request
 
 
 @dataclass
@@ -463,5 +484,5 @@ class ProxSession:
         if last is not None:
             # Re-run lazily on the next touch that needs a result, so
             # rehydration stays cheap for sessions only being listed.
-            session._pending_summarize = (dict(last[0]), int(last[1]))
+            session._pending_summarize = (_stored_request(last[0]), int(last[1]))
         return session

@@ -39,18 +39,18 @@ VALUATION_CLASSES = ("Cancel Single Annotation", "Cancel Single Attribute")
 
 #: Request fields passed to :class:`SummarizationConfig` only when set.
 CONFIG_KNOBS = (
-    "incremental",
     "carry",
-    "lazy",
     "sample_sharing",
     "sample_block",
     "repair",
     "slo_seconds",
 )
 
-#: Knobs of the deleted forked-worker scoring tier; a request naming
-#: one is rejected rather than silently ignored.
-REMOVED_KNOBS = ("parallelism", "parallel_threshold")
+#: Knobs of deleted scoring paths (the forked-worker tier, the
+#: per-step scorer rebuild, eager-vs-lazy selection); a request naming
+#: one is rejected rather than silently ignored.  Each was
+#: output-neutral, so a stored request naming one is read without it.
+REMOVED_KNOBS = ("incremental", "lazy", "parallelism", "parallel_threshold")
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,12 @@ class SummarizationRequest:
     aggregation: str = "MAX"
     valuation_class: str = "Cancel Single Annotation"
     val_func: str = "Euclidean Distance"
-    #: Scoring-engine knobs (see :mod:`repro.core.engine`): incremental
-    #: scorer carry, cross-step candidate carry, lazy-greedy selection
-    #: and shared-batch sampled scoring ("auto"/"on"/"off"/bool), and
-    #: the sampling-budget block size.  Here and below ``None`` leaves
-    #: the knob unset: :class:`SummarizationConfig` owns every default.
-    incremental: object = None
+    #: Scoring-engine knobs (see :mod:`repro.core.engine`): cross-step
+    #: candidate carry (with it, lazy-greedy selection) and shared-batch
+    #: sampled scoring ("auto"/"on"/"off"/bool), and the sampling-budget
+    #: block size.  Here and below ``None`` leaves the knob unset:
+    #: :class:`SummarizationConfig` owns every default.
     carry: object = None
-    lazy: object = None
     sample_sharing: object = None
     sample_block: Optional[int] = None
     #: Streaming summary repair ("auto"/"on"/"off"): consume the repair

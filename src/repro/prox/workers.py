@@ -44,10 +44,12 @@ import threading
 import uuid
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..core import kernels as _kernels
 from ..observability import health as _health
 from ..observability import log as _log
 from ..observability import metrics as _metrics
 from ..observability import slo as _slo
+from ..provenance import ir as _ir
 from .app import (
     AppResponse,
     JSON,
@@ -124,6 +126,13 @@ def _worker_main(
     Ops are tuples ``(request_id, op, payload)``; replies are
     ``(request_id, worker_index, response)``.
     """
+    # The fork copied the parent's metric values: zero them so the
+    # front's aggregated scrape counts each event once, then re-export
+    # the state gauges that still describe this process.
+    _metrics.REGISTRY.reset()
+    _kernels.publish_backend_metric()
+    if _ir.ir_enabled():
+        _ir.publish_metrics()
     manager = SessionManager(
         max_sessions=max_sessions,
         snapshot_dir=snapshot_dir,

@@ -80,3 +80,17 @@ def test_summarizer_with_subsets_valuations():
         SummarizationConfig(w_dist=1.0, max_steps=3, seed=0),
     ).run()
     assert result.final_distance.n_valuations == len(valuations)
+
+
+@pytest.mark.parametrize("knob", ["carry", "sample_sharing", "repair"])
+def test_tri_state_knob_words(knob):
+    """Every auto/on/off knob parses the same words to None/True/False
+    and names itself when it rejects one."""
+    for word, value in [
+        ("auto", None), ("on", True), (" ON ", True), ("true", True),
+        ("off", False), ("False", False), (None, None), (True, True),
+    ]:
+        assert getattr(SummarizationConfig(**{knob: word}), knob) is value
+    with pytest.raises(ValueError) as raised:
+        SummarizationConfig(**{knob: "maybe"})
+    assert str(raised.value) == f"{knob} must be 'auto', 'on' or 'off', got 'maybe'"

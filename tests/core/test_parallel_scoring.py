@@ -12,11 +12,12 @@ Sizes must match as exact integers; distances to within 1e-12 (the
 tolerance the seed's fast-path suite already uses -- dense and sparse
 summation differ only in fold order).  The engine's dispatch of a
 scorer must agree bit-for-bit with calling that scorer directly, and
-whole greedy runs must be bit-identical across the carry axis (off ≡
-eager delta carry ≡ lazy-greedy queue) and across the parallel axis:
+whole greedy runs must be bit-identical across the carry axis (full
+per-step re-score ≡ lazy-greedy queue) and across the parallel axis:
 the same run on several threads at once, the way the threaded PROX
 server runs concurrent sessions in one process, must reproduce the
-serial run.
+serial run.  ``test_golden_runs.py`` pins the same runs to committed
+fingerprints.
 """
 
 import random
@@ -204,7 +205,7 @@ def assert_distances_match(actual, reference, context=""):
 
 
 def assert_all_paths_agree(problem):
-    """naive ≡ fast ≡ incremental ≡ engine dispatch, one step."""
+    """naive ≡ dense fast ≡ sparse incremental ≡ engine dispatch, one step."""
     computer = make_computer(problem)
     current = problem.expression
     mapping = MappingState(sorted(current.annotation_names()))
@@ -232,19 +233,13 @@ def assert_all_paths_agree(problem):
     ]
     assert_distances_match(incremental, reference, "incremental vs naive")
 
-    # The engine runs the very same scorers, so its measurements must be
+    # The engine runs the very same scorer, so its measurements must be
     # *bit*-identical to the direct calls, not just close.
     engine, dispatched = engine_scores(
-        problem, computer, current, mapping, candidates, incremental=False
-    )
-    assert engine.last_path == ScoringEngine.PATH_FAST
-    assert dispatched == serial
-
-    engine, dispatched_inc = engine_scores(
-        problem, computer, current, mapping, candidates, incremental=True
+        problem, computer, current, mapping, candidates
     )
     assert engine.last_path == ScoringEngine.PATH_FAST_INCREMENTAL
-    assert dispatched_inc == incremental
+    assert dispatched == incremental
 
 
 # -- the RNG grid ------------------------------------------------------------------
@@ -463,22 +458,22 @@ def movielens_problem(seed):
 
 @pytest.mark.parametrize("seed", [3, 9])
 def test_e2e_determinism_parallel_incremental_vs_seed_default(seed):
-    """The default engine (incremental scorer, lazy-greedy queue), run
-    on two threads at once, must replay the seed-default run (dense
-    per-step scorer, full re-score) merge for merge on the bundled
+    """The default engine (lazy-greedy queue), run on two threads at
+    once, must replay the seed-behavior run (candidates re-enumerated
+    and re-scored in full every step) merge for merge on the bundled
     MovieLens sample -- on every thread."""
     config_kwargs = dict(w_dist=0.7, max_steps=6, seed=0)
     baseline = Summarizer(
         movielens_problem(seed),
-        SummarizationConfig(incremental="off", carry="off", **config_kwargs),
+        SummarizationConfig(carry="off", **config_kwargs),
     ).run()
     runs = run_concurrently(
         lambda: Summarizer(
             movielens_problem(seed),
-            SummarizationConfig(incremental="on", **config_kwargs),
+            SummarizationConfig(**config_kwargs),
         ).run()
     )
-    assert {r.scoring_path for r in baseline.steps} == {"fast"}
+    assert {r.scoring_path for r in baseline.steps} == {"fast+incremental"}
     for tuned in runs:
         assert [r.merged for r in tuned.steps] == [r.merged for r in baseline.steps]
         assert [r.new_annotation for r in tuned.steps] == [
@@ -513,17 +508,20 @@ def _run_in_mode(temporary_mode, runner, threads=1):
 
 
 #: Engine knob combinations of the differential grids, with the number
-#: of threads each run occupies at once.  With ``carry`` on,
-#: "incremental", "parallel+incremental" and "sampled" select through
-#: the lazy queue (the default) and "eager-carry" through the delta
-#: carry; the "parallel" entries run on two threads concurrently.
+#: of threads each run occupies at once.  With ``carry`` on, every entry
+#: but "eager-carry" selects through the lazy queue: "serial" at the
+#: default knobs, "incremental" without the repair checkpoint (step 0
+#: scores without per-valuation detail), "sampled" over one pinned
+#: shared batch.  "eager-carry" keeps the candidate-pool carry but
+#: re-scores every candidate (ordinal scoring selects eagerly).  The
+#: "parallel" entries run on two threads concurrently.
 _ENGINE_GRID = {
-    "serial": (dict(incremental="off"), 1),
-    "incremental": (dict(incremental="on"), 1),
-    "parallel": (dict(incremental="off"), 2),
-    "parallel+incremental": (dict(incremental="on"), 2),
-    "eager-carry": (dict(incremental="on", lazy="off"), 1),
-    "sampled": (dict(incremental="on", max_enumerate=0, distance_samples=64), 1),
+    "serial": (dict(), 1),
+    "incremental": (dict(repair="off"), 1),
+    "parallel": (dict(), 2),
+    "parallel+incremental": (dict(repair="off"), 2),
+    "eager-carry": (dict(scoring="ordinal"), 1),
+    "sampled": (dict(max_enumerate=0, distance_samples=64), 1),
 }
 engine_grid = pytest.mark.parametrize(
     "knobs,threads", list(_ENGINE_GRID.values()), ids=list(_ENGINE_GRID)
@@ -629,7 +627,7 @@ def test_fast_path_bailing_mid_run_falls_back_to_naive(monkeypatch):
     reference = naive_scores(problem, computer, current, mapping, candidates)
 
     calls = {"n": 0}
-    original_score = FastStepScorer.score
+    original_score = IncrementalStepScorer.score
 
     def flaky_score(self, parts):
         calls["n"] += 1
@@ -637,9 +635,9 @@ def test_fast_path_bailing_mid_run_falls_back_to_naive(monkeypatch):
             raise RuntimeError("fast path bailed mid-run")
         return original_score(self, parts)
 
-    monkeypatch.setattr(FastStepScorer, "score", flaky_score)
+    monkeypatch.setattr(IncrementalStepScorer, "score", flaky_score)
     engine, scores = engine_scores(
-        problem, computer, current, mapping, candidates, incremental=False,
+        problem, computer, current, mapping, candidates
     )
     assert engine.last_path == ScoringEngine.PATH_NAIVE
     assert calls["n"] == 4, "the fast path was attempted and bailed"
@@ -789,10 +787,8 @@ def test_lazy_matches_eager_selection(seed):
         ).run()
 
     eager = runner(carry="off")
-    eager_carry = runner(carry="on", lazy="off")
-    lazy = runner(carry="on", lazy="on")
+    lazy = runner(carry="on")
     assert _full_fingerprint(lazy) == _full_fingerprint(eager)
-    assert _full_fingerprint(eager_carry) == _full_fingerprint(eager)
     rescored = sum(r.n_rescored for r in lazy.steps[1:])
     total = sum(r.n_candidates for r in lazy.steps[1:])
     assert rescored < total, "lazy selection never skipped a re-score"
@@ -846,29 +842,29 @@ def test_lazy_stale_scores_are_lower_bounds():
 
 
 def test_lazy_requires_normalized_scoring_and_carry():
-    with pytest.raises(ValueError):
-        SummarizationConfig(lazy="on", scoring="ordinal")
-    with pytest.raises(ValueError):
-        SummarizationConfig(lazy="on", carry="off")
-
-
-def test_lazy_defaults_on_whenever_valid():
-    """``lazy`` unset (or "auto") selects lazily exactly when an
-    explicit ``lazy="on"`` would validate; ordinal scoring and
-    ``carry="off"`` stay eager instead of raising."""
-    assert SummarizationConfig().lazy_selection
-    assert SummarizationConfig(lazy="auto", carry="on").lazy_selection
+    """Stale lower bounds order absolute scores, not per-step ordinal
+    ranks, and the queue needs carried measurements: ordinal scoring
+    and ``carry="off"`` re-score every candidate every step."""
     assert not SummarizationConfig(scoring="ordinal").lazy_selection
     assert not SummarizationConfig(carry="off").lazy_selection
-    assert not SummarizationConfig(lazy="off").lazy_selection
-    assert SummarizationConfig(lazy=True).lazy_selection
-    assert ScoringEngine(None, SummarizationConfig(), None).lazy
+    assert not SummarizationConfig(scoring="ordinal", carry="on").lazy_selection
     assert not ScoringEngine(None, SummarizationConfig(carry="off"), None).lazy
 
 
-@pytest.mark.parametrize("knob", ["parallelism", "parallel_threshold"])
+def test_lazy_defaults_on_whenever_valid():
+    """Lazy selection is not a knob: it is on whenever it is valid."""
+    assert SummarizationConfig().lazy_selection
+    assert SummarizationConfig(carry="auto").lazy_selection
+    assert SummarizationConfig(carry="on").lazy_selection
+    assert ScoringEngine(None, SummarizationConfig(), None).lazy
+
+
+@pytest.mark.parametrize(
+    "knob", ["parallelism", "parallel_threshold", "incremental", "lazy"]
+)
 def test_removed_parallel_knobs_raise_type_error(knob):
-    """The forked-worker tier is gone; its knobs are not silently
+    """Knobs of deleted scoring paths (the forked-worker tier, the
+    per-step scorer rebuild, eager-vs-lazy selection) are not silently
     accepted."""
     with pytest.raises(TypeError, match=knob):
         SummarizationConfig(**{knob: 2})

@@ -12,7 +12,7 @@ three levels:
   the scorer's batch draw (SUM/MAX/COUNT, guards, group merges,
   sparse and dense accumulators);
 * per-step through the engine (dispatch paths, serial ≡ concurrent
-  threads, carry on ≡ off, lazy ≡ eager, batch pinning across
+  threads, lazy queue ≡ full re-score, batch pinning across
   ``advance``);
 * end-to-end through greedy and beam runs, replaying every recorded
   step distance with a reference computer.
@@ -319,16 +319,6 @@ def test_engine_dispatches_sampled_paths():
         sampling_computer(problem, SEED, batch=BATCH),
         max_enumerate=0,
         distance_samples=BATCH,
-        incremental="off",
-    )
-    engine.measure(candidates, current, mapping)
-    assert engine.last_path == ScoringEngine.PATH_SAMPLED
-
-    engine = engine_for(
-        problem,
-        sampling_computer(problem, SEED, batch=BATCH),
-        max_enumerate=0,
-        distance_samples=BATCH,
         sample_sharing="off",
     )
     engine.measure(candidates, current, mapping)
@@ -348,7 +338,6 @@ def test_engine_sampled_measurements_match_reference():
         sampling_computer(problem, SEED, batch=BATCH),
         max_enumerate=0,
         distance_samples=BATCH,
-        incremental="off",
     )
     measured, _ = engine.measure(candidates, current, mapping)
     for scored, candidate in zip(measured, candidates):
@@ -372,7 +361,6 @@ def test_serial_and_parallel_sampled_runs_bit_identical(kernel):
             sampling_computer(problem, SEED, batch=BATCH),
             max_enumerate=0,
             distance_samples=BATCH,
-            incremental="off",
         )
         measured, _ = engine.measure(candidates, current, mapping)
         return engine.last_path, [
@@ -383,9 +371,9 @@ def test_serial_and_parallel_sampled_runs_bit_identical(kernel):
     serial_path, serial = run()
     with ThreadPoolExecutor(max_workers=2) as pool:
         parallel = [future.result() for future in [pool.submit(run) for _ in range(2)]]
-    assert serial_path == ScoringEngine.PATH_SAMPLED
+    assert serial_path == ScoringEngine.PATH_SAMPLED_INCREMENTAL
     for parallel_path, scores in parallel:
-        assert parallel_path == ScoringEngine.PATH_SAMPLED
+        assert parallel_path == ScoringEngine.PATH_SAMPLED_INCREMENTAL
         assert scores == serial
 
 
@@ -518,7 +506,7 @@ def test_sampled_run_bit_identical_across_kernels():
 def test_stale_sampled_distances_are_lower_bounds():
     """Prop 4.2.2 over the *pinned* batch: a carried candidate's stale
     estimate never exceeds its fresh re-score -- the invariant the
-    lazy queue and the delta carry rely on under sampling."""
+    lazy queue relies on under sampling."""
     for monoid_name in sorted(MONOIDS):
         problem = random_problem(11, MONOIDS[monoid_name], n_terms=16)
         computer = sampling_computer(problem, SEED, batch=BATCH)
@@ -555,47 +543,27 @@ def test_packed_views_round_trip_the_masks():
     for key, words in packed.items():
         assert len(words) == n_words
         assert kernels.row_int(words) == kernels.row_int(scorer._mask[key])
-    term_packed = scorer.packed_term_dead()
-    assert len(term_packed) == len(scorer._term_dead)
-    for words, mask in zip(term_packed, scorer._term_dead):
-        assert len(words) == n_words
-        assert kernels.row_int(words) == kernels.row_int(mask)
-    # The contiguous table is the same bytes, row-major.
-    table = scorer.packed_term_dead_table()
-    assert table.n_rows == len(scorer._term_dead)
-    assert table.words.tobytes() == b"".join(
-        row.tobytes() for row in term_packed
-    )
 
 
 def test_packed_views_memoized_until_advance():
-    """Satellite: repeated packed reads within one step must not re-pack;
-    ``advance`` invalidates and the next read rebuilds exactly once."""
+    """Repeated packed reads within one step must not re-pack;
+    ``advance`` invalidates and the next read rebuilds."""
     problem = random_problem(8, SUM)
     computer = sampling_computer(problem, SEED, batch=BATCH)
     current, mapping, candidates = step_state(problem)
     scorer = SampledStepScorer(computer, current, mapping, problem.universe)
-    assert scorer.pack_builds == 0, "packing is lazy"
-    first_table = scorer.packed_term_dead_table()
-    first_rows = scorer.packed_term_dead()
     first_masks = scorer.packed_masks()
     for _ in range(5):
-        assert scorer.packed_term_dead_table() is first_table
-        assert scorer.packed_term_dead() is first_rows
         assert scorer.packed_masks() is first_masks
-    assert scorer.pack_builds == 1
     chosen, summary, current, mapping = apply_first(
         problem, current, mapping, candidates
     )
     scorer.advance(chosen.parts, summary.name, current, mapping)
-    second_table = scorer.packed_term_dead_table()
-    assert second_table is not first_table
-    assert scorer.packed_term_dead_table() is second_table
-    assert scorer.pack_builds == 2
-    # The fresh views reflect the post-merge term table.
-    assert second_table.n_rows == len(scorer._term_dead)
-    for row, mask in zip(scorer.packed_term_dead(), scorer._term_dead):
-        assert kernels.row_int(row) == kernels.row_int(mask)
+    second_masks = scorer.packed_masks()
+    assert second_masks is not first_masks
+    assert scorer.packed_masks() is second_masks
+    # The fresh view reflects the post-merge mask rows.
+    assert set(second_masks) == set(scorer._mask)
 
 
 def test_batch_stats_match_flat_weighted_fold():
@@ -858,24 +826,28 @@ def _sampled_run(seed, **knobs):
             w_dist=0.7, max_steps=5, seed=0, max_enumerate=0, **knobs
         ),
     ).run()
-    assert {r.scoring_path for r in result.steps} <= {
-        "sampled", "sampled+incremental"
-    }
+    assert {r.scoring_path for r in result.steps} == {"sampled+incremental"}
     return result
 
 
 @pytest.mark.parametrize("seed", [3, 9])
 def test_sampled_carry_bit_identical(seed):
-    on = _full_fingerprint(_sampled_run(seed, carry="on"))
-    off = _full_fingerprint(_sampled_run(seed, carry="off"))
+    """The candidate-pool carry under eager (ordinal) selection."""
+    on = _full_fingerprint(_sampled_run(seed, carry="on", scoring="ordinal"))
+    off = _full_fingerprint(_sampled_run(seed, carry="off", scoring="ordinal"))
     assert on == off
 
 
 @pytest.mark.parametrize("seed", [3, 9])
 def test_sampled_lazy_matches_eager(seed):
+    """Lazy selection over the pinned batch picks the full re-score's
+    merges while re-scoring only part of the candidates."""
     eager = _sampled_run(seed, carry="off")
-    lazy = _sampled_run(seed, carry="on", lazy="on")
+    lazy = _sampled_run(seed, carry="on")
     assert _full_fingerprint(lazy) == _full_fingerprint(eager)
+    rescored = sum(r.n_rescored for r in lazy.steps[1:])
+    total = sum(r.n_candidates for r in lazy.steps[1:])
+    assert rescored < total, "lazy selection never skipped a re-score"
 
 
 def test_sample_sharing_off_still_summarizes():

@@ -15,7 +15,7 @@ annotations (``S1``, ``S2``, ...) coincide.  Everything observable is
 then compared exactly -- no tolerances anywhere.
 
 The grid covers datasets × delta schedules × VAL-FUNCs × engine knobs
-(carry on/off, lazy queue vs eager carry, aggregations) plus the legacy
+(carry on/off, aggregations) plus the legacy
 (non-IR) representation; the adversarial schedule spam-flags users so
 two previously-distinct equivalence classes merge mid-stream.  Beam
 search runs outside the repair path, so its leg asserts the other half
@@ -134,7 +134,7 @@ GRID = [
     pytest.param(
         MovieLensConfig(**BASE),
         MovieLensDeltaConfig(**APPEND),
-        SummarizationRequest(number_of_steps=6, lazy=True),
+        SummarizationRequest(number_of_steps=6, carry="on"),
         id="lazy-queue",
     ),
     pytest.param(
@@ -156,12 +156,6 @@ GRID = [
             number_of_steps=5, aggregation="SUM", val_func="Disagreement"
         ),
         id="sum-disagreement",
-    ),
-    pytest.param(
-        MovieLensConfig(**BASE),
-        MovieLensDeltaConfig(**APPEND),
-        SummarizationRequest(number_of_steps=6, lazy="off"),
-        id="eager-carry",
     ),
 ]
 

@@ -1,6 +1,6 @@
 """Instrumentation must not change what the pipeline computes.
 
-The differential harness proves serial ≡ incremental ≡ carry ≡ lazy;
+The differential harness proves full re-score ≡ lazy queue;
 this module proves the observability layer preserves that: the summary
 a run produces is byte-identical whether tracing/metrics are on or
 off, and the differential invariant still holds with tracing recording
@@ -84,13 +84,14 @@ def test_output_is_byte_identical_with_the_profiler_sampling(
 
 
 def test_differential_invariant_holds_with_tracing_on(instrumentation_guard):
-    """Serial ≡ incremental merge sequences, spans recording throughout."""
+    """Full re-score ≡ lazy queue merge sequences, spans recording
+    throughout."""
     tracing.set_enabled(True)
     tracing.take_trace()
-    serial = _summarize(incremental="off")
-    incremental = _summarize(incremental="on")
-    assert [r.merged for r in serial.steps] == [r.merged for r in incremental.steps]
-    assert _portable(serial) == _portable(incremental)
+    full = _summarize(carry="off")
+    lazy = _summarize(carry="on")
+    assert [r.merged for r in full.steps] == [r.merged for r in lazy.steps]
+    assert _portable(full) == _portable(lazy)
 
 
 def test_trace_tree_matches_the_documented_hierarchy(instrumentation_guard):
@@ -108,7 +109,7 @@ def test_trace_tree_matches_the_documented_hierarchy(instrumentation_guard):
     for child in steps[: result.n_steps]:
         scoring = child.find("score_candidates")
         assert scoring is not None
-        assert scoring.attributes["path"] in {"fast", "fast+incremental", "naive"}
+        assert scoring.attributes["path"] in {"fast+incremental", "naive"}
         assert scoring.attributes["n_candidates"] >= 0
     assert root.attributes["stop_reason"] == result.stop_reason
     assert root.attributes["final_size"] == result.final_size
@@ -135,8 +136,8 @@ def test_output_is_byte_identical_with_carry_and_instrumentation(
 ):
     """The carry counters/span attributes must not perturb a carry-on
     run: byte-identical output with instrumentation off and on, eager
-    and lazy."""
-    for knobs in (dict(carry="on", lazy="off"), dict(carry="on", lazy="on")):
+    (ordinal scoring) and lazy."""
+    for knobs in (dict(carry="on", scoring="ordinal"), dict(carry="on")):
         metrics.set_enabled(False)
         tracing.set_enabled(False)
         baseline = _summarize(**knobs)
@@ -157,7 +158,7 @@ def test_carry_counters_advance_during_a_run(instrumentation_guard):
     before_carried = carried_total.value()
     before_rescored = rescored_total.value()
 
-    result = _summarize(carry="on", lazy="on")
+    result = _summarize(carry="on")
 
     carried = sum(
         r.n_candidates - r.n_rescored for r in result.steps if r.n_rescored >= 0
@@ -176,14 +177,14 @@ def test_carry_counters_golden_scrape(instrumentation_guard):
     scrape = metrics.REGISTRY.render()
     assert (
         "# HELP prox_scoring_candidates_carried_total Candidates whose "
-        "measurement was carried across a step (delta-corrected or served "
-        "stale from the lazy queue).\n"
+        "measurement was carried across a step (served stale from the "
+        "lazy queue).\n"
         "# TYPE prox_scoring_candidates_carried_total counter\n"
     ) in scrape
     assert (
         "# HELP prox_scoring_candidates_rescored_total Candidates freshly "
-        "re-scored under cross-step carry (intersecting, new, or "
-        "confirmation re-scores).\n"
+        "re-scored (every candidate of a full re-score; new or popped "
+        "stale heads of the lazy queue).\n"
         "# TYPE prox_scoring_candidates_rescored_total counter\n"
     ) in scrape
     assert "prox_scoring_candidates_carried_total " in scrape
@@ -285,7 +286,7 @@ def test_score_candidates_spans_report_batch_attributes(instrumentation_guard):
 def test_score_candidates_spans_report_carry_partition(instrumentation_guard):
     tracing.set_enabled(True)
     tracing.take_trace()
-    result = _summarize(carry="on", lazy="on")
+    result = _summarize(carry="on")
 
     root = tracing.take_trace()
     steps = [child for child in root.children if child.name.startswith("step[")]

@@ -90,7 +90,9 @@ def test_errors(server):
     assert "unknown summarization parameters" in data["error"]
 
 
-@pytest.mark.parametrize("knob", ["parallelism", "parallel_threshold"])
+@pytest.mark.parametrize(
+    "knob", ["parallelism", "parallel_threshold", "incremental", "lazy"]
+)
 def test_removed_scoring_knobs_are_rejected_by_name(server, knob):
     status, data = request(server, "POST", "/summarize", {knob: 2})
     assert status == 400

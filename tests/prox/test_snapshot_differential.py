@@ -4,7 +4,8 @@ The acceptance bar for the serving tier: a session snapshotted,
 evicted and restored (zero-copy in a fresh process, replay in a warm
 one) must produce *bit-identical* ``/summarize`` results to a session
 that was never evicted -- same sizes, same distances, same merge
-sequence -- across greedy/beam × carry/lazy × sampled scoring paths.
+sequence -- across greedy/beam × full re-score/lazy queue × sampled
+scoring paths.
 Soundness rests on PR 3 (results independent of monomial-id layout)
 and PR 6 (repaired ≡ from-scratch), so dropping repair state and
 re-interning on restore cannot shift anything.
@@ -39,15 +40,15 @@ CONFIG = MovieLensConfig(n_users=10, n_movies=8, include_movie_merges=True, seed
 #: own problem (build_problem).
 REQUESTS = [
     pytest.param(
-        SummarizationRequest(number_of_steps=4, carry="off", lazy=False),
+        SummarizationRequest(number_of_steps=4, carry="off"),
         id="greedy-baseline",
     ),
     pytest.param(
-        SummarizationRequest(number_of_steps=4, carry="on", lazy=False),
+        SummarizationRequest(number_of_steps=4, carry="on", repair="off"),
         id="greedy-carry",
     ),
     pytest.param(
-        SummarizationRequest(number_of_steps=4, carry="on", lazy=True),
+        SummarizationRequest(number_of_steps=4, carry="on"),
         id="greedy-carry-lazy",
     ),
     pytest.param(
@@ -133,6 +134,45 @@ def test_beam_summarizes_bit_identically_after_restore(tmp_path):
         restored.close()
 
 
+def _rewrite_stored_request(source, target, **extra):
+    """Copy a session snapshot, adding ``extra`` keys to its stored
+    summarize request (the shape older snapshots were written in)."""
+    meta, names_blob, store = serialization.load_session_snapshot(str(source))
+    meta["last_summarize"][0].update(extra)
+    names = [name.decode() for name in names_blob.split(b"\x00")] if names_blob else None
+    serialization.write_session_snapshot(
+        str(target), meta, interner_names=names, store=store
+    )
+
+
+def test_restore_drops_removed_knobs_and_rejects_unknown_ones(tmp_path):
+    """A snapshot written while ``parallelism`` / ``incremental`` /
+    ``lazy`` existed restores and summarizes as if they were unset (each
+    was output-neutral); any other unknown key is a typed error."""
+    control = build_session()
+    expected = fingerprint(
+        control.summarize(SummarizationRequest(number_of_steps=4), seed=13)
+    )
+    current = tmp_path / "current.snap"
+    control.snapshot(str(current))
+    control.close()
+
+    older = tmp_path / "older.snap"
+    _rewrite_stored_request(
+        current, older, parallelism=2, incremental="off", lazy="on"
+    )
+    restored = ProxSession.restore(str(older))
+    try:
+        assert fingerprint(restored._require_result()) == expected
+    finally:
+        restored.close()
+
+    corrupt = tmp_path / "corrupt.snap"
+    _rewrite_stored_request(current, corrupt, bogus=1)
+    with pytest.raises(serialization.SerializationError, match="bogus"):
+        ProxSession.restore(str(corrupt))
+
+
 _CHILD_BUILD = """
 import json, sys
 sys.path.insert(0, {src!r})
@@ -187,7 +227,7 @@ def _run_child(code, *argv):
     [
         pytest.param({"number_of_steps": 4, "carry": "off"}, id="baseline"),
         pytest.param(
-            {"number_of_steps": 4, "carry": "on", "lazy": True}, id="carry-lazy"
+            {"number_of_steps": 4, "carry": "on"}, id="carry-lazy"
         ),
         pytest.param(
             {"number_of_steps": 4, "sample_sharing": "on"}, id="sampled"

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.observability import metrics
 from repro.prox.server import ProxServer
 from repro.prox.workers import HashRing, WorkerFront
 
@@ -133,8 +134,7 @@ class TestShardedServing:
         reference on steps with many candidates."""
 
         def fallbacks():
-            # Front and workers each render their registry (workers
-            # inherit the forking process's counts), so compare sums.
+            # Front and workers each render their registry: compare sums.
             status, metrics, _ = request(sharded_server, "GET", "/metrics")
             assert status == 200
             values = [
@@ -203,6 +203,38 @@ def test_drain_snapshots_and_workers_exit():
             assert not process.is_alive()
     finally:
         server.stop()
+
+
+def _fallbacks(section):
+    (line,) = [
+        line
+        for line in section.splitlines()
+        if line.startswith("prox_scoring_fallbacks_total")
+    ]
+    return float(line.split()[-1])
+
+
+def test_workers_count_only_their_own_events():
+    """Counts the forking process made before the front started stay in
+    the front's section of the aggregated scrape; every worker section
+    starts from zero."""
+    metrics.REGISTRY.get("prox_scoring_fallbacks_total").inc(5)
+    front = WorkerFront(n_workers=2, max_sessions=2)
+    front.start()
+    server = ProxServer(backend=front)
+    server.start()
+    try:
+        status, scrape, _ = request(server, "GET", "/metrics")
+        assert status == 200
+        front_section, *worker_sections = scrape.split("# worker ")
+        assert len(worker_sections) == 2
+        assert _fallbacks(front_section) >= 5
+        for section in worker_sections:
+            assert _fallbacks(section) == 0
+            assert 'repro_kernel_backend{backend="python"}' in section
+    finally:
+        server.stop()
+        front.stop()
 
 
 def test_front_capacity_returns_429():

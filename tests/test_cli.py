@@ -97,6 +97,14 @@ def test_unknown_command():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("flag", [["--lazy"], ["--lazy", "on"]])
+def test_summarize_rejects_the_removed_lazy_flag(capsys, flag):
+    with pytest.raises(SystemExit) as raised:
+        main(["summarize", "movielens", *flag])
+    assert raised.value.code == 2
+    assert "--lazy" in capsys.readouterr().err
+
+
 def test_reproduce_command(capsys, tmp_path):
     code, out, _ = run(
         capsys,
