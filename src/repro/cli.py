@@ -366,10 +366,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
                   f"{record.label} (size {record.size_after}, "
                   f"distance {distance}{timing})")
     if args.ir_stats:
-        interned = len(problem.interner) if problem.interner is not None else 0
         arena = _ir.GLOBAL_STORE.stats()
-        print(f"  ir mode {_ir.active_mode()}: "
-              f"{interned} interned annotations, "
+        print(f"  ir: {len(problem.resolve_interner())} interned annotations, "
               f"{arena['monomials']} arena monomials, "
               f"{arena['arena_bytes']} arena bytes")
     if args.save:

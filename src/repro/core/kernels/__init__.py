@@ -13,7 +13,7 @@ The bit-packed scorers funnel their hot folds through one active
   demand and driven via ctypes (see
   :mod:`repro.core.kernels.native_backend`).
 
-Resolution mirrors ``REPRO_IR``: the env knob is read once at import,
+Resolution: the env knob is read once at import,
 ``auto`` (the default) picks numpy when importable and falls back to
 python otherwise -- ``native`` is *opt-in only* (an implicit compile
 on first import would surprise operators; request it explicitly).  An

@@ -17,13 +17,14 @@ Summarization mappings ``h : Ann → Ann'`` act on polynomials through
 :meth:`Polynomial.rename`, and :func:`from_expression` converts any
 pure (tensor-free) AST into canonical form.
 
-Representation: :class:`Polynomial` is a façade.  In the default
-``ir`` mode (:mod:`repro.provenance.ir`) a polynomial is two parallel
-integer arrays over the process-wide interned term store -- the
-string-keyed terms dict is materialized lazily only when asked for.
-``REPRO_IR=legacy`` restores the seed dict-of-tuples storage; each
-instance captures the mode active at construction, and mixed-mode
-arithmetic degrades gracefully through the terms-dict boundary.
+Representation: :class:`Polynomial` is a façade over the interned IR
+(:mod:`repro.provenance.ir`).  A polynomial is two parallel integer
+arrays over the term store that was process-wide when it was built;
+the string-keyed terms dict is only a cache, materialized lazily when
+asked for.  :func:`~repro.provenance.ir.install_store` can swap the
+process-wide store, so two live stores are a real case: arithmetic
+across stores re-interns both operands into the current one, and
+equality across stores compares the name-space terms.
 """
 
 from __future__ import annotations
@@ -49,39 +50,6 @@ def _monomial(names: Iterable[str]) -> Monomial:
     return tuple(sorted(counts.items()))
 
 
-def _monomial_product(first: Monomial, second: Monomial) -> Monomial:
-    """Merge two name-sorted exponent runs directly.
-
-    Both operands are canonical (sorted by name, unique names), so the
-    product is a single linear merge -- no ``Counter`` rebuild, no
-    re-sort.  ~3x faster than the seed implementation on typical
-    provenance monomials (see ``benchmarks/bench_ir_memory.py``).
-    """
-    if not first:
-        return second
-    if not second:
-        return first
-    merged = []
-    i = j = 0
-    n_first, n_second = len(first), len(second)
-    while i < n_first and j < n_second:
-        name_a, exp_a = first[i]
-        name_b, exp_b = second[j]
-        if name_a == name_b:
-            merged.append((name_a, exp_a + exp_b))
-            i += 1
-            j += 1
-        elif name_a < name_b:
-            merged.append(first[i])
-            i += 1
-        else:
-            merged.append(second[j])
-            j += 1
-    merged.extend(first[i:])
-    merged.extend(second[j:])
-    return tuple(merged)
-
-
 class Polynomial:
     """A polynomial with natural coefficients over annotation names.
 
@@ -98,21 +66,16 @@ class Polynomial:
                 raise ValueError("N[Ann] has natural coefficients only")
             if coefficient:
                 cleaned[monomial] = coefficient
+        store = _ir.GLOBAL_STORE
+        counts: Dict[int, int] = {}
+        for monomial, coefficient in cleaned.items():
+            mono = store.mono_from_name_pairs(monomial)
+            counts[mono] = counts.get(mono, 0) + coefficient
+        self._store: _ir.TermStore = store
+        self._data: _ir.PolyData = store.poly_from_counts(counts)
+        self._terms: Optional[Dict[Monomial, int]] = None
         self._names: Optional[FrozenSet[str]] = None
         self._hash: Optional[int] = None
-        if _ir.ir_enabled():
-            store = _ir.GLOBAL_STORE
-            counts: Dict[int, int] = {}
-            for monomial, coefficient in cleaned.items():
-                mono = store.mono_from_name_pairs(monomial)
-                counts[mono] = counts.get(mono, 0) + coefficient
-            self._store: Optional[_ir.TermStore] = store
-            self._data: Optional[_ir.PolyData] = store.poly_from_counts(counts)
-            self._terms: Optional[Dict[Monomial, int]] = None
-        else:
-            self._store = None
-            self._data = None
-            self._terms = cleaned
 
     @classmethod
     def _from_data(cls, store: "_ir.TermStore", data: "_ir.PolyData") -> "Polynomial":
@@ -148,7 +111,7 @@ class Polynomial:
     # -- structure -----------------------------------------------------------
 
     def _term_dict(self) -> Dict[Monomial, int]:
-        """The name-space terms, materialized lazily under the IR."""
+        """The name-space terms, materialized lazily and cached."""
         if self._terms is None:
             store, data = self._store, self._data
             self._terms = {
@@ -157,12 +120,12 @@ class Polynomial:
             }
         return self._terms
 
-    def ir_data(self) -> "Optional[_ir.PolyData]":
-        """The backing IR columns (``None`` for legacy-mode instances)."""
+    def ir_data(self) -> "_ir.PolyData":
+        """The backing IR columns."""
         return self._data
 
-    def ir_store(self) -> "Optional[_ir.TermStore]":
-        """The term store the IR columns index into, if any."""
+    def ir_store(self) -> "_ir.TermStore":
+        """The term store the IR columns index into."""
         return self._store
 
     def terms(self) -> Dict[Monomial, int]:
@@ -170,51 +133,34 @@ class Polynomial:
         return dict(self._term_dict())
 
     def coefficient(self, names: Iterable[str]) -> int:
-        monomial = _monomial(names)
-        if self._data is not None:
-            interner = self._store.interner
-            flat = []
-            pairs = []
-            for name, exponent in monomial:
-                ann_id = interner.lookup(name)
-                if ann_id is None:
-                    return 0
-                pairs.append((ann_id, exponent))
-            for ann_id, exponent in sorted(pairs):
-                flat.append(ann_id)
-                flat.append(exponent)
-            return self._store.poly_coefficient(self._data, tuple(flat))
-        return self._terms.get(monomial, 0)
+        interner = self._store.interner
+        flat = []
+        pairs = []
+        for name, exponent in _monomial(names):
+            ann_id = interner.lookup(name)
+            if ann_id is None:
+                return 0
+            pairs.append((ann_id, exponent))
+        for ann_id, exponent in sorted(pairs):
+            flat.append(ann_id)
+            flat.append(exponent)
+        return self._store.poly_coefficient(self._data, tuple(flat))
 
     def is_zero(self) -> bool:
-        if self._data is not None:
-            return len(self._data) == 0
-        return not self._terms
+        return len(self._data) == 0
 
     def annotation_names(self) -> FrozenSet[str]:
         if self._names is None:
-            if self._data is not None:
-                self._names = frozenset(
-                    self._store.interner.names_of(
-                        self._store.poly_annotation_ids(self._data)
-                    )
+            self._names = frozenset(
+                self._store.interner.names_of(
+                    self._store.poly_annotation_ids(self._data)
                 )
-            else:
-                names: set = set()
-                for monomial in self._terms:
-                    names.update(name for name, _ in monomial)
-                self._names = frozenset(names)
+            )
         return self._names
 
     def degree(self) -> int:
         """Largest total degree of a monomial (0 for constants)."""
-        if self._data is not None:
-            return self._store.poly_degree(self._data)
-        if not self._terms:
-            return 0
-        return max(
-            sum(exponent for _, exponent in monomial) for monomial in self._terms
-        )
+        return self._store.poly_degree(self._data)
 
     def size(self) -> int:
         """Annotation occurrences with repetition, counting coefficients.
@@ -222,55 +168,41 @@ class Polynomial:
         Matches the §3.2 size measure on the expanded sum-of-monomials
         form: ``2·a·b²`` contributes 2 × (1 + 2) = 6.
         """
-        if self._data is not None:
-            return self._store.poly_size(self._data)
-        return sum(
-            coefficient * sum(exponent for _, exponent in monomial)
-            for monomial, coefficient in self._terms.items()
-        )
+        return self._store.poly_size(self._data)
 
     # -- arithmetic -------------------------------------------------------------
 
+    def _operands(
+        self, other: "Polynomial"
+    ) -> "Tuple[_ir.TermStore, _ir.PolyData, _ir.PolyData]":
+        """Both operands' columns in one store.
+
+        Polynomials built before an ``install_store`` swap index into
+        the previous store; mixed operands are re-interned into the
+        current process-wide store through their name-space terms.
+        """
+        if self._store is other._store:
+            return self._store, self._data, other._data
+        return _ir.GLOBAL_STORE, self._current_data(), other._current_data()
+
+    def _current_data(self) -> "_ir.PolyData":
+        """These columns, re-interned into the process-wide store if needed."""
+        if self._store is _ir.GLOBAL_STORE:
+            return self._data
+        return Polynomial(self._term_dict())._data
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        if (
-            self._data is not None
-            and other._data is not None
-            and self._store is other._store
-        ):
-            return Polynomial._from_data(
-                self._store, self._store.poly_add(self._data, other._data)
-            )
-        terms = dict(self._term_dict())
-        for monomial, coefficient in other._term_dict().items():
-            terms[monomial] = terms.get(monomial, 0) + coefficient
-        return Polynomial(terms)
+        store, left, right = self._operands(other)
+        return Polynomial._from_data(store, store.poly_add(left, right))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if (
-            self._data is not None
-            and other._data is not None
-            and self._store is other._store
-        ):
-            return Polynomial._from_data(
-                self._store, self._store.poly_mul(self._data, other._data)
-            )
-        terms: Dict[Monomial, int] = {}
-        for left_monomial, left_coefficient in self._term_dict().items():
-            for right_monomial, right_coefficient in other._term_dict().items():
-                product = _monomial_product(left_monomial, right_monomial)
-                terms[product] = (
-                    terms.get(product, 0) + left_coefficient * right_coefficient
-                )
-        return Polynomial(terms)
+        store, left, right = self._operands(other)
+        return Polynomial._from_data(store, store.poly_mul(left, right))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if (
-            self._data is not None
-            and other._data is not None
-            and self._store is other._store
-        ):
+        if self._store is other._store:
             return (
                 self._data.mono_ids == other._data.mono_ids
                 and self._data.coeffs == other._data.coeffs
@@ -278,8 +210,8 @@ class Polynomial:
         return self._term_dict() == other._term_dict()
 
     def __hash__(self) -> int:
-        # Mode-independent (IR and legacy instances that compare equal
-        # must hash equal), cached -- the instance is immutable.
+        # Store-independent (polynomials from two stores that compare
+        # equal must hash equal), cached -- the instance is immutable.
         if self._hash is None:
             self._hash = hash(tuple(sorted(self._term_dict().items())))
         return self._hash
@@ -290,23 +222,11 @@ class Polynomial:
         """Apply a summarization mapping ``h`` (a semiring hom on N[Ann])."""
         with _tracing.span("rename") as opened:
             if _tracing.is_enabled():
-                opened.set(
-                    "n_terms",
-                    len(self._data) if self._data is not None else len(self._terms),
-                )
-            if self._data is not None:
-                table = self._store.rename_table(mapping)
-                return Polynomial._from_data(
-                    self._store, self._store.poly_rename(self._data, table)
-                )
-            terms: Dict[Monomial, int] = {}
-            for monomial, coefficient in self._terms.items():
-                names = []
-                for name, exponent in monomial:
-                    names.extend([mapping.get(name, name)] * exponent)
-                renamed = _monomial(names)
-                terms[renamed] = terms.get(renamed, 0) + coefficient
-            return Polynomial(terms)
+                opened.set("n_terms", len(self._data))
+            table = self._store.rename_table(mapping)
+            return Polynomial._from_data(
+                self._store, self._store.poly_rename(self._data, table)
+            )
 
     def evaluate_in(
         self, semiring: Semiring[T], valuation: Mapping[str, T]
@@ -318,21 +238,7 @@ class Polynomial:
         the result is correct in *any* commutative semiring, including
         the boolean and tropical ones).
         """
-        if self._data is not None:
-            return self._store.poly_evaluate_in(self._data, semiring, valuation)
-        total = semiring.zero
-        for monomial, coefficient in self._terms.items():
-            value = semiring.one
-            for name, exponent in monomial:
-                try:
-                    base = valuation[name]
-                except KeyError:
-                    raise KeyError(f"valuation missing annotation {name!r}") from None
-                for _ in range(exponent):
-                    value = semiring.times(value, base)
-            for _ in range(coefficient):
-                total = semiring.plus(total, value)
-        return total
+        return self._store.poly_evaluate_in(self._data, semiring, valuation)
 
     def __str__(self) -> str:
         terms = self._term_dict()

@@ -131,8 +131,7 @@ def _worker_main(
     # the state gauges that still describe this process.
     _metrics.REGISTRY.reset()
     _kernels.publish_backend_metric()
-    if _ir.ir_enabled():
-        _ir.publish_metrics()
+    _ir.publish_metrics()
     manager = SessionManager(
         max_sessions=max_sessions,
         snapshot_dir=snapshot_dir,

@@ -591,12 +591,31 @@ def arena_from_buffer(buffer: memoryview, offset: int = 0) -> TermStore:
         raise SerializationError(str(error)) from None
 
 
+def _replace_file(path: Union[str, os.PathLike], blob: bytes) -> int:
+    """Write ``blob`` to ``path`` via a temp file and ``os.replace``.
+
+    Never truncates ``path`` in place: a store restored zero-copy from
+    an earlier snapshot at ``path`` still mmaps that file, and
+    rewriting it would change the monomials under the live store.  The
+    rename gives ``path`` a new inode and leaves the mapped one intact.
+    """
+    temp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(blob)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
+    return len(blob)
+
+
 def write_arena_snapshot(store: TermStore, path: Union[str, os.PathLike]) -> int:
     """Write one arena snapshot file; returns the byte count."""
-    blob = arena_snapshot_bytes(store)
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    return len(blob)
+    return _replace_file(path, arena_snapshot_bytes(store))
 
 
 def load_arena_snapshot(path: Union[str, os.PathLike]) -> TermStore:
@@ -647,10 +666,7 @@ def write_session_snapshot(
         b"\x00" * _pad8(len(names_blob)),
         arena_blob,
     ]
-    blob = b"".join(parts)
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    return len(blob)
+    return _replace_file(path, b"".join(parts))
 
 
 def load_session_snapshot(
@@ -660,8 +676,9 @@ def load_session_snapshot(
 
     The meta document and interner block are materialized (they are
     small); the arena -- the bulk of the file -- is wrapped zero-copy.
-    ``store`` is ``None`` when the snapshot carried no arena (legacy
-    IR mode).
+    ``store`` is ``None`` when the snapshot carried no arena; snapshot
+    files are outside input, and such a session still restores by
+    replaying its event log.
     """
     with open(path, "rb") as handle:
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
@@ -691,7 +708,7 @@ def polynomial_to_dict(polynomial: Polynomial) -> Dict[str, Any]:
 
     Annotation and monomial ids are re-densified to the polynomial's
     own support, so the payload is independent of whatever process-wide
-    store produced it (and of ``REPRO_IR`` mode entirely).
+    store produced it.
     """
     local_names: List[str] = []
     name_ids: Dict[str, int] = {}

@@ -42,7 +42,6 @@ from repro.core import (
     enumerate_candidates,
     virtual_summary,
 )
-from repro.provenance import ir as _ir
 from repro.core.engine import _OverlayUniverse
 from repro.core.fast_distance import FastStepScorer, IncrementalStepScorer
 from repro.datasets import MovieLensConfig, generate_movielens
@@ -485,11 +484,11 @@ def test_e2e_determinism_parallel_incremental_vs_seed_default(seed):
         assert {r.scoring_path for r in tuned.steps} == {"fast+incremental"}
 
 
-# -- the representation axis: legacy ≡ IR ------------------------------------------
+# -- run fingerprints and the engine grid ------------------------------------------
 
 
 def _steps_fingerprint(result):
-    """Everything a mode switch could perturb, captured bit-exactly."""
+    """Everything an engine path could perturb, captured bit-exactly."""
     return {
         "merged": [r.merged for r in result.steps],
         "new_annotations": [r.new_annotation for r in result.steps],
@@ -500,11 +499,6 @@ def _steps_fingerprint(result):
         "stop_reason": result.stop_reason,
         "groups": result.summary_groups(),
     }
-
-
-def _run_in_mode(temporary_mode, runner, threads=1):
-    with _ir.mode(temporary_mode):
-        return fingerprint_runs(runner, _steps_fingerprint, threads)
 
 
 #: Engine knob combinations of the differential grids, with the number
@@ -526,91 +520,6 @@ _ENGINE_GRID = {
 engine_grid = pytest.mark.parametrize(
     "knobs,threads", list(_ENGINE_GRID.values()), ids=list(_ENGINE_GRID)
 )
-
-
-@pytest.mark.parametrize("seed", [3, 9])
-@engine_grid
-def test_greedy_ir_vs_legacy_bit_identical(seed, knobs, threads):
-    """The IR axis of the differential grid: under every engine knob
-    combination a greedy run must be *bit*-identical between the
-    interned and the legacy representation -- same merges, same sizes,
-    same exact distance floats."""
-
-    def runner():
-        return Summarizer(
-            movielens_problem(seed),
-            SummarizationConfig(w_dist=0.7, max_steps=5, seed=0, **knobs),
-        ).run()
-
-    assert _run_in_mode(_ir.MODE_IR, runner, threads) == _run_in_mode(
-        _ir.MODE_LEGACY, runner, threads
-    )
-
-
-@pytest.mark.parametrize("monoid_name", sorted(MONOIDS))
-def test_random_problems_ir_vs_legacy_bit_identical(monoid_name):
-    def runner():
-        return Summarizer(
-            random_problem(19, MONOIDS[monoid_name], n_terms=16),
-            SummarizationConfig(w_dist=0.6, max_steps=4, seed=0),
-        ).run()
-
-    assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
-        _ir.MODE_LEGACY, runner
-    )
-
-
-def test_beam_ir_vs_legacy_bit_identical():
-    def runner():
-        return BeamSummarizer(
-            movielens_problem(3),
-            SummarizationConfig(w_dist=0.7, max_steps=4, seed=0),
-            beam_width=2,
-        ).run()
-
-    assert _run_in_mode(_ir.MODE_IR, runner) == _run_in_mode(
-        _ir.MODE_LEGACY, runner
-    )
-
-
-def test_one_step_scores_ir_vs_legacy_bit_identical():
-    """Candidate-level differential: every path's per-candidate scores
-    must match exactly across the representation switch."""
-
-    def one_step():
-        problem = random_problem(37, SUM, n_terms=16)
-        computer = make_computer(problem)
-        current = problem.expression
-        mapping = MappingState(sorted(current.annotation_names()))
-        candidates = enumerate_candidates(
-            current, problem.universe, problem.constraint
-        )
-        serial = FastStepScorer(computer, current, mapping, problem.universe)
-        incremental = IncrementalStepScorer(
-            computer, current, mapping, problem.universe
-        )
-        return [
-            (
-                candidate.parts,
-                serial.score(candidate.parts),
-                incremental.score(candidate.parts),
-            )
-            for candidate in candidates
-        ]
-
-    with _ir.mode(_ir.MODE_IR):
-        interned = one_step()
-    with _ir.mode(_ir.MODE_LEGACY):
-        legacy = one_step()
-    assert len(interned) == len(legacy)
-    for (parts_a, serial_a, inc_a), (parts_b, serial_b, inc_b) in zip(
-        interned, legacy
-    ):
-        assert parts_a == parts_b
-        assert serial_a[0] == serial_b[0]
-        assert serial_a[1].value == serial_b[1].value
-        assert inc_a[0] == inc_b[0]
-        assert inc_a[1].value == inc_b[1].value
 
 
 # -- fallback regression -----------------------------------------------------------
@@ -681,14 +590,13 @@ def _full_fingerprint(result):
     return fingerprint
 
 
-@pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
 @engine_grid
 @pytest.mark.parametrize("seed", [3, 9])
-def test_greedy_carry_bit_identical(seed, knobs, threads, ir_mode, kernel):
+def test_greedy_carry_bit_identical(seed, knobs, threads, kernel):
     """The carry axis of the differential grid: with cross-step
     candidate carry on, a greedy run must be *bit*-identical to the
     carry-off (seed) run -- same merges, sizes and exact distance
-    floats -- under every engine knob and representation mode."""
+    floats -- under every engine knob."""
 
     def runner(carry):
         return Summarizer(
@@ -696,9 +604,8 @@ def test_greedy_carry_bit_identical(seed, knobs, threads, ir_mode, kernel):
             SummarizationConfig(w_dist=0.7, max_steps=6, seed=0, carry=carry, **knobs),
         ).run()
 
-    with _ir.mode(ir_mode):
-        off = _full_fingerprint(runner("off"))
-        on = fingerprint_runs(lambda: runner("on"), _full_fingerprint, threads)
+    off = _full_fingerprint(runner("off"))
+    on = fingerprint_runs(lambda: runner("on"), _full_fingerprint, threads)
     assert on == off
 
 
@@ -756,9 +663,8 @@ def test_carry_respects_scoring_strategy(scoring):
     assert _full_fingerprint(runner("on")) == _full_fingerprint(runner("off"))
 
 
-@pytest.mark.parametrize("ir_mode", [_ir.MODE_LEGACY, _ir.MODE_IR])
 @pytest.mark.parametrize("seed", [3, 9])
-def test_beam_carry_bit_identical(seed, ir_mode):
+def test_beam_carry_bit_identical(seed):
     def runner(carry):
         return BeamSummarizer(
             movielens_problem(seed),
@@ -768,9 +674,8 @@ def test_beam_carry_bit_identical(seed, ir_mode):
             beam_width=2,
         ).run()
 
-    with _ir.mode(ir_mode):
-        off = _full_fingerprint(runner("off"))
-        on = _full_fingerprint(runner("on"))
+    off = _full_fingerprint(runner("off"))
+    on = _full_fingerprint(runner("on"))
     assert on == off
 
 

@@ -15,8 +15,7 @@ annotations (``S1``, ``S2``, ...) coincide.  Everything observable is
 then compared exactly -- no tolerances anywhere.
 
 The grid covers datasets × delta schedules × VAL-FUNCs × engine knobs
-(carry on/off, aggregations) plus the legacy
-(non-IR) representation; the adversarial schedule spam-flags users so
+(carry on/off, aggregations); the adversarial schedule spam-flags users so
 two previously-distinct equivalence classes merge mid-stream.  Beam
 search runs outside the repair path, so its leg asserts the other half
 of the invariant: an expression grown by ``apply_delta`` summarizes
@@ -38,7 +37,6 @@ from repro.datasets.movielens import (
     generate_movielens,
     generate_movielens_deltas,
 )
-from repro.provenance import ir
 from repro.provenance.valuation_classes import CancelSingleAnnotation
 from repro.provenance.tensor_sum import TensorSum
 from repro.prox.session import ProxSession
@@ -175,16 +173,6 @@ class TestStreamedEqualsFrozen:
         )
         assert _snapshot(repaired) == _snapshot(from_scratch)
         assert repaired.repair_seeded > 0
-
-    def test_legacy_representation(self):
-        """The invariant must hold with the interned IR disabled too."""
-        with ir.mode(ir.MODE_LEGACY):
-            repaired, from_scratch = run_differential(
-                MovieLensConfig(**BASE),
-                MovieLensDeltaConfig(**SPAM),
-                SummarizationRequest(number_of_steps=6),
-            )
-        assert _snapshot(repaired) == _snapshot(from_scratch)
 
     def test_repeated_ingest_between_every_summarize(self):
         """Repair survives a summarize after *every* delta, not just one

@@ -3,18 +3,23 @@
 The IR (:mod:`repro.provenance.ir`) must be *unobservable* through the
 ``Polynomial`` API: over an explicit RNG grid of randomly built
 polynomial expressions, every operation (add, mul, rename, size,
-degree, coefficient, evaluate_in) must agree between the default
-``ir`` mode and the ``REPRO_IR=legacy`` dict representation -- exact
+degree, coefficient, evaluate_in) must agree with
+:class:`LegacyPolynomial`, a test-local dict-of-tuples model of the
+seed representation replaying the same construction sequence -- exact
 semirings only, so agreement is equality, not approximation.
 
-Also covered: the interner/arena invariants (dense stable ids,
-memoized products, lazily-extended rename tables), the
-annotation-names cache regression from the PR (rename must never
-mutate the receiver's cached name set), and the format-version-2
-serialization round-trips for term stores and polynomials.
+Also covered: arithmetic across two live term stores (what
+:func:`~repro.provenance.ir.install_store` produces), the
+interner/arena invariants (dense stable ids, memoized products,
+lazily-extended rename tables), the annotation-names cache regression
+from the PR (rename must never mutate the receiver's cached name set),
+and the format-version-2 serialization round-trips for term stores and
+polynomials.
 """
 
 import random
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,24 +33,139 @@ from repro.serialization import SerializationError
 NAMES = ["a", "b", "c", "d", "e"]
 
 
+# -- the dict-of-tuples reference ------------------------------------------------
+
+
+def _monomial(names):
+    return tuple(sorted(Counter(names).items()))
+
+
+class LegacyPolynomial:
+    """The seed ``N[Ann]`` storage: name-sorted monomial tuples → coefficient.
+
+    Every operation is the direct definition over the terms dict, with
+    nothing interned or cached -- the oracle the IR must agree with.
+    """
+
+    def __init__(self, terms=()):
+        self._terms = {
+            monomial: coefficient
+            for monomial, coefficient in dict(terms).items()
+            if coefficient
+        }
+
+    @classmethod
+    def variable(cls, name):
+        return cls({((name, 1),): 1})
+
+    @classmethod
+    def constant(cls, value):
+        return cls({(): value})
+
+    def terms(self):
+        return dict(self._terms)
+
+    def __eq__(self, other):
+        return self._terms == other.terms()
+
+    def __add__(self, other):
+        terms = dict(self._terms)
+        for monomial, coefficient in other._terms.items():
+            terms[monomial] = terms.get(monomial, 0) + coefficient
+        return LegacyPolynomial(terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for left, left_coefficient in self._terms.items():
+            for right, right_coefficient in other._terms.items():
+                names = [
+                    name
+                    for monomial in (left, right)
+                    for name, exponent in monomial
+                    for _ in range(exponent)
+                ]
+                product = _monomial(names)
+                terms[product] = (
+                    terms.get(product, 0) + left_coefficient * right_coefficient
+                )
+        return LegacyPolynomial(terms)
+
+    def rename(self, mapping):
+        terms = {}
+        for monomial, coefficient in self._terms.items():
+            names = []
+            for name, exponent in monomial:
+                names.extend([mapping.get(name, name)] * exponent)
+            renamed = _monomial(names)
+            terms[renamed] = terms.get(renamed, 0) + coefficient
+        return LegacyPolynomial(terms)
+
+    def coefficient(self, names):
+        return self._terms.get(_monomial(names), 0)
+
+    def annotation_names(self):
+        return frozenset(name for monomial in self._terms for name, _ in monomial)
+
+    def degree(self):
+        return max(
+            (sum(exponent for _, exponent in monomial) for monomial in self._terms),
+            default=0,
+        )
+
+    def size(self):
+        return sum(
+            coefficient * sum(exponent for _, exponent in monomial)
+            for monomial, coefficient in self._terms.items()
+        )
+
+    def evaluate_in(self, semiring, valuation):
+        total = semiring.zero
+        for monomial, coefficient in self._terms.items():
+            value = semiring.one
+            for name, exponent in monomial:
+                for _ in range(exponent):
+                    value = semiring.times(value, valuation[name])
+            for _ in range(coefficient):
+                total = semiring.plus(total, value)
+        return total
+
+    def __str__(self):
+        if not self._terms:
+            return "0"
+        parts = []
+        for monomial, coefficient in sorted(self._terms.items()):
+            factors = [
+                name if exponent == 1 else f"{name}^{exponent}"
+                for name, exponent in monomial
+            ]
+            body = "·".join(factors) if factors else "1"
+            if coefficient == 1 and factors:
+                parts.append(body)
+            elif factors:
+                parts.append(f"{coefficient}·{body}")
+            else:
+                parts.append(str(coefficient))
+        return " + ".join(parts)
+
+
 # -- random polynomial programs ----------------------------------------------------
 
 
-def random_polynomial(rng, depth=4):
+def random_polynomial(rng, kind=Polynomial, depth=4):
     """A random N[Ann] value built by a deterministic op sequence.
 
-    Replaying the same ``rng`` seed under a different ``REPRO_IR`` mode
-    performs the *same* constructions, so the two results must be equal
-    as polynomials.
+    Replaying the same ``rng`` seed with ``kind=LegacyPolynomial``
+    performs the *same* constructions on the reference, so the two
+    results must be equal as polynomials.
     """
     choice = rng.random()
     if depth == 0 or choice < 0.35:
-        kind = rng.random()
-        if kind < 0.6:
-            return Polynomial.variable(rng.choice(NAMES))
-        if kind < 0.8:
-            return Polynomial.constant(rng.randint(0, 3))
-        return Polynomial(
+        leaf = rng.random()
+        if leaf < 0.6:
+            return kind.variable(rng.choice(NAMES))
+        if leaf < 0.8:
+            return kind.constant(rng.randint(0, 3))
+        return kind(
             {
                 tuple(
                     sorted(
@@ -55,8 +175,8 @@ def random_polynomial(rng, depth=4):
                 ): rng.randint(1, 4)
             }
         )
-    left = random_polynomial(rng, depth - 1)
-    right = random_polynomial(rng, depth - 1)
+    left = random_polynomial(rng, kind, depth - 1)
+    right = random_polynomial(rng, kind, depth - 1)
     if choice < 0.65:
         return left + right
     if choice < 0.9:
@@ -65,18 +185,23 @@ def random_polynomial(rng, depth=4):
     return (left + right).rename(mapping)
 
 
-def build_in_mode(temporary_mode, seed):
-    with ir.mode(temporary_mode):
-        return random_polynomial(random.Random(seed))
+def build_pair(seed):
+    """The IR polynomial and its reference twin from one ``seed``."""
+    return (
+        random_polynomial(random.Random(seed)),
+        random_polynomial(random.Random(seed), LegacyPolynomial),
+    )
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_ir_vs_legacy_same_terms(seed):
-    built_ir = build_in_mode(ir.MODE_IR, seed)
-    built_legacy = build_in_mode(ir.MODE_LEGACY, seed)
+    built_ir, built_legacy = build_pair(seed)
     assert built_ir.terms() == built_legacy.terms()
-    assert built_ir == built_legacy
-    assert hash(built_ir) == hash(built_legacy)
+    assert built_legacy == built_ir
+    # The same value entered as a terms dict: equal and hash-equal.
+    from_terms = Polynomial(built_legacy.terms())
+    assert built_ir == from_terms
+    assert hash(built_ir) == hash(from_terms)
     assert built_ir.size() == built_legacy.size()
     assert built_ir.degree() == built_legacy.degree()
     assert built_ir.annotation_names() == built_legacy.annotation_names()
@@ -93,9 +218,8 @@ def test_ir_vs_legacy_same_terms(seed):
     ids=("boolean", "naturals"),
 )
 def test_ir_vs_legacy_evaluate_in(seed, semiring, values):
-    """The universal property holds identically in both modes."""
-    built_ir = build_in_mode(ir.MODE_IR, seed)
-    built_legacy = build_in_mode(ir.MODE_LEGACY, seed)
+    """The universal property holds identically on the reference."""
+    built_ir, built_legacy = build_pair(seed)
     rng = random.Random(seed * 31 + 7)
     names = sorted(built_ir.annotation_names() | built_legacy.annotation_names())
     for _ in range(5):
@@ -107,8 +231,7 @@ def test_ir_vs_legacy_evaluate_in(seed, semiring, values):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_ir_vs_legacy_coefficient_lookup(seed):
-    built_ir = build_in_mode(ir.MODE_IR, seed)
-    built_legacy = build_in_mode(ir.MODE_LEGACY, seed)
+    built_ir, built_legacy = build_pair(seed)
     for monomial in built_legacy.terms():
         names = [name for name, exponent in monomial for _ in range(exponent)]
         assert built_ir.coefficient(names) == built_legacy.coefficient(names)
@@ -120,7 +243,8 @@ def test_ir_vs_legacy_coefficient_lookup(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_rename_composition_matches_sequential(seed):
-    """h2 ∘ h1 as one mapping ≡ rename(h1) then rename(h2), both modes."""
+    """h2 ∘ h1 as one mapping ≡ rename(h1) then rename(h2), on the IR
+    and on the reference."""
     rng = random.Random(seed)
     h1 = {name: rng.choice(["m0", "m1", name]) for name in NAMES}
     h2 = {"m0": "s", "m1": "s", "a": "s2"}
@@ -129,34 +253,55 @@ def test_rename_composition_matches_sequential(seed):
         step = h1.get(name, name)
         return h2.get(step, step)
 
-    for temporary_mode in (ir.MODE_IR, ir.MODE_LEGACY):
-        with ir.mode(temporary_mode):
-            poly = random_polynomial(random.Random(seed))
-            sequential = poly.rename(h1).rename(h2)
-            one_shot = poly.rename(
-                {name: composed(name) for name in NAMES + ["m0", "m1"]}
-            )
-            assert sequential == one_shot, temporary_mode
-            assert sequential.terms() == one_shot.terms(), temporary_mode
+    for kind in (Polynomial, LegacyPolynomial):
+        poly = random_polynomial(random.Random(seed), kind)
+        sequential = poly.rename(h1).rename(h2)
+        one_shot = poly.rename(
+            {name: composed(name) for name in NAMES + ["m0", "m1"]}
+        )
+        assert sequential == one_shot, kind.__name__
+        assert sequential.terms() == one_shot.terms(), kind.__name__
+
+
+@contextmanager
+def fresh_global_store():
+    """Install an empty process-wide store; yield the one it replaced.
+
+    ``install_store`` is how a serving worker adopts a restored arena,
+    so polynomials from two live stores meet in real runs.
+    """
+    previous = ir.install_store(TermStore())
+    try:
+        yield previous
+    finally:
+        ir.install_store(previous)
 
 
 def test_cross_mode_arithmetic_degrades_gracefully():
-    """A legacy-built polynomial mixes with an IR-built one via terms."""
-    with ir.mode(ir.MODE_LEGACY):
-        legacy = Polynomial.variable("a") * Polynomial.constant(2)
-    with ir.mode(ir.MODE_IR):
-        interned = Polynomial.variable("b") + Polynomial.one()
-    mixed = legacy + interned
-    assert mixed.terms() == {
-        (("a", 1),): 2,
-        (("b", 1),): 1,
-        (): 1,
-    }
-    product = legacy * interned
-    assert product.terms() == {
-        (("a", 1), ("b", 1)): 2,
-        (("a", 1),): 2,
-    }
+    """Polynomials from two term stores mix through their terms."""
+    old = Polynomial.variable("a") * Polynomial.constant(2)
+    with fresh_global_store() as previous:
+        # "b" is interned first here, so the two id layouts disagree.
+        new = Polynomial.variable("b") + Polynomial.one()
+        assert old.ir_store() is previous
+        assert new.ir_store() is ir.GLOBAL_STORE
+        for mixed in (old + new, new + old):
+            assert mixed.ir_store() is ir.GLOBAL_STORE
+            assert mixed.terms() == {
+                (("a", 1),): 2,
+                (("b", 1),): 1,
+                (): 1,
+            }
+        for product in (old * new, new * old):
+            assert product.ir_store() is ir.GLOBAL_STORE
+            assert product.terms() == {
+                (("a", 1), ("b", 1)): 2,
+                (("a", 1),): 2,
+            }
+        twin = Polynomial.variable("a") * Polynomial.constant(2)
+        assert twin == old and old == twin
+        assert hash(twin) == hash(old)
+        assert twin != new
 
 
 # -- interner / arena invariants ---------------------------------------------------
@@ -220,11 +365,10 @@ def test_rename_table_extends_after_interner_growth():
 
 
 def test_rename_merges_colliding_monomials():
-    with ir.mode(ir.MODE_IR):
-        poly = Polynomial.variable("a") + Polynomial.variable("b")
-        merged = poly.rename({"a": "s", "b": "s"})
-        assert merged.terms() == {(("s", 1),): 2}
-        assert merged.size() == 2
+    poly = Polynomial.variable("a") + Polynomial.variable("b")
+    merged = poly.rename({"a": "s", "b": "s"})
+    assert merged.terms() == {(("s", 1),): 2}
+    assert merged.size() == 2
 
 
 def test_store_stats_report_growth():
@@ -241,62 +385,30 @@ def test_store_stats_report_growth():
 # -- the annotation-names cache (PR regression) ------------------------------------
 
 
-@pytest.mark.parametrize("temporary_mode", (ir.MODE_IR, ir.MODE_LEGACY))
-def test_rename_does_not_mutate_cached_annotation_names(temporary_mode):
+def test_rename_does_not_mutate_cached_annotation_names():
     """``annotation_names`` is cached per instance; renaming must hand
     back a *new* polynomial with its own (correct) name set and leave
     the receiver's cache untouched."""
-    with ir.mode(temporary_mode):
-        poly = Polynomial.variable("a") * Polynomial.variable("b")
-        before = poly.annotation_names()
-        assert before == frozenset({"a", "b"})
-        renamed = poly.rename({"a": "s", "b": "s"})
-        assert renamed.annotation_names() == frozenset({"s"})
-        # The receiver's cached set is the same object, unchanged.
-        assert poly.annotation_names() is before
-        assert poly.annotation_names() == frozenset({"a", "b"})
-        # And the cache is per instance, never shared with the result.
-        assert renamed.annotation_names() is not before
+    poly = Polynomial.variable("a") * Polynomial.variable("b")
+    before = poly.annotation_names()
+    assert before == frozenset({"a", "b"})
+    renamed = poly.rename({"a": "s", "b": "s"})
+    assert renamed.annotation_names() == frozenset({"s"})
+    # The receiver's cached set is the same object, unchanged.
+    assert poly.annotation_names() is before
+    assert poly.annotation_names() == frozenset({"a", "b"})
+    # And the cache is per instance, never shared with the result.
+    assert renamed.annotation_names() is not before
 
 
-@pytest.mark.parametrize("temporary_mode", (ir.MODE_IR, ir.MODE_LEGACY))
-def test_annotation_names_cache_is_consistent_after_arithmetic(temporary_mode):
-    with ir.mode(temporary_mode):
-        left = Polynomial.variable("a")
-        right = Polynomial.variable("b")
-        assert left.annotation_names() == frozenset({"a"})
-        total = left + right
-        assert total.annotation_names() == frozenset({"a", "b"})
-        assert left.annotation_names() == frozenset({"a"})
-        assert right.annotation_names() == frozenset({"b"})
-
-
-# -- mode plumbing -----------------------------------------------------------------
-
-
-def test_mode_contextmanager_restores_previous_mode():
-    previous = ir.active_mode()
-    with ir.mode(ir.MODE_LEGACY):
-        assert ir.active_mode() == ir.MODE_LEGACY
-        assert not ir.ir_enabled()
-    assert ir.active_mode() == previous
-
-
-def test_set_mode_rejects_unknown_modes():
-    with pytest.raises(ValueError, match="mode must be"):
-        ir.set_mode("mystery")
-
-
-def test_instances_capture_their_construction_mode():
-    with ir.mode(ir.MODE_IR):
-        interned = Polynomial.variable("a")
-    with ir.mode(ir.MODE_LEGACY):
-        legacy = Polynomial.variable("a")
-    assert interned.ir_data() is not None
-    assert interned.ir_store() is ir.GLOBAL_STORE
-    assert legacy.ir_data() is None
-    assert legacy.ir_store() is None
-    assert interned == legacy
+def test_annotation_names_cache_is_consistent_after_arithmetic():
+    left = Polynomial.variable("a")
+    right = Polynomial.variable("b")
+    assert left.annotation_names() == frozenset({"a"})
+    total = left + right
+    assert total.annotation_names() == frozenset({"a", "b"})
+    assert left.annotation_names() == frozenset({"a"})
+    assert right.annotation_names() == frozenset({"b"})
 
 
 # -- serialization (format version 2) ----------------------------------------------
@@ -378,35 +490,46 @@ def test_term_store_rejects_non_canonical_arenas():
         serialization.term_store_from_dict(duplicated)
 
 
-@pytest.mark.parametrize("temporary_mode", (ir.MODE_IR, ir.MODE_LEGACY))
+@pytest.mark.parametrize("source", ("ir", "legacy"))
 @pytest.mark.parametrize("seed", range(6))
-def test_polynomial_dict_round_trip_is_mode_independent(temporary_mode, seed):
-    with ir.mode(temporary_mode):
+def test_polynomial_dict_round_trip_is_mode_independent(source, seed):
+    """``ir`` builds the polynomial by IR arithmetic, ``legacy`` enters
+    the reference model's terms dict; either way the payload round-trips
+    and restores into a second, differently laid out store."""
+    if source == "ir":
         poly = random_polynomial(random.Random(seed))
-        payload = serialization.polynomial_to_dict(poly)
-        assert payload["version"] == serialization.FORMAT_VERSION
-        restored = serialization.polynomial_from_dict(payload)
-        assert restored == poly
-        assert restored.terms() == poly.terms()
-    # The payload also restores under the *other* mode.
-    other = ir.MODE_LEGACY if temporary_mode == ir.MODE_IR else ir.MODE_IR
-    with ir.mode(other):
-        assert serialization.polynomial_from_dict(payload).terms() == poly.terms()
+    else:
+        poly = Polynomial(
+            random_polynomial(random.Random(seed), LegacyPolynomial).terms()
+        )
+    payload = serialization.polynomial_to_dict(poly)
+    assert payload["version"] == serialization.FORMAT_VERSION
+    restored = serialization.polynomial_from_dict(payload)
+    assert restored == poly
+    assert restored.terms() == poly.terms()
+    with fresh_global_store():
+        elsewhere = serialization.polynomial_from_dict(payload)
+        assert elsewhere.ir_store() is not poly.ir_store()
+        assert elsewhere.terms() == poly.terms()
+        assert elsewhere == poly
 
 
 def test_polynomial_dict_is_json_stable():
-    """Equal polynomials from either mode serialize to the same JSON."""
-    with ir.mode(ir.MODE_IR):
-        interned = (Polynomial.variable("a") + Polynomial.variable("b")) * (
+    """Equal polynomials from two stores serialize to the same JSON."""
+
+    def build():
+        return (Polynomial.variable("a") + Polynomial.variable("b")) * (
             Polynomial.variable("b") + Polynomial.constant(2)
         )
-    with ir.mode(ir.MODE_LEGACY):
-        legacy = (Polynomial.variable("a") + Polynomial.variable("b")) * (
-            Polynomial.variable("b") + Polynomial.constant(2)
-        )
+
+    here = build()
+    with fresh_global_store():
+        Polynomial.variable("b")  # shift the id layout of the new store
+        there = build()
+    assert there.ir_store() is not here.ir_store()
     assert serialization.dumps(
-        serialization.polynomial_to_dict(interned)
-    ) == serialization.dumps(serialization.polynomial_to_dict(legacy))
+        serialization.polynomial_to_dict(here)
+    ) == serialization.dumps(serialization.polynomial_to_dict(there))
 
 
 def test_polynomial_dict_rejects_malformed_payloads():
@@ -436,13 +559,11 @@ def enabled_tracing():
     tracing.take_trace()
 
 
-@pytest.mark.parametrize("temporary_mode", (ir.MODE_IR, ir.MODE_LEGACY))
-def test_polynomial_rename_records_a_span(enabled_tracing, temporary_mode):
+def test_polynomial_rename_records_a_span(enabled_tracing):
     tracing = enabled_tracing
-    with ir.mode(temporary_mode):
-        poly = Polynomial.variable("a") + Polynomial.variable("b")
-        with tracing.span("root"):
-            poly.rename({"a": "s"})
+    poly = Polynomial.variable("a") + Polynomial.variable("b")
+    with tracing.span("root"):
+        poly.rename({"a": "s"})
     root = tracing.take_trace()
     rename = root.find("rename")
     assert rename is not None

@@ -117,7 +117,6 @@ def test_metrics_scrape_includes_the_ir_gauges(server):
 def test_healthz_reports_ir_state(server):
     _, _, raw = fetch(server, "GET", "/healthz")
     payload = json.loads(raw)
-    assert payload["ir_mode"] in ("ir", "legacy")
     assert payload["ir_interned_annotations"] >= 0
     assert payload["ir_arena_bytes"] >= 0
 
@@ -147,8 +146,6 @@ def test_metrics_scrape_includes_the_kernel_gauge(server):
 
 @pytest.mark.skipif(not metrics.ENABLED, reason="metrics disabled via REPRO_METRICS")
 def test_ir_gauges_advance_after_a_summarization(server):
-    from repro.provenance import ir
-
     _, _, raw = fetch(server, "GET", "/titles")
     titles = json.loads(raw)["titles"][:4]
     fetch(server, "POST", "/select", {"titles": titles})
@@ -160,9 +157,8 @@ def test_ir_gauges_advance_after_a_summarization(server):
     text = raw.decode("utf-8")
     match = re.search(r"^repro_ir_interned_annotations (\d+)$", text, re.M)
     assert match is not None
-    if ir.ir_enabled():
-        # The session interner saw the selection's annotations.
-        assert int(match.group(1)) > 0
+    # The session interner saw the selection's annotations.
+    assert int(match.group(1)) > 0
 
 
 @pytest.mark.skipif(not metrics.ENABLED, reason="metrics disabled via REPRO_METRICS")

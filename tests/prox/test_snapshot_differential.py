@@ -60,13 +60,14 @@ REQUESTS = [
 ]
 
 
-def build_session(session_id=None):
+DELTA_CONFIG = MovieLensDeltaConfig(n_deltas=2, seed=9)
+
+
+def build_session(session_id=None, n_ingested=DELTA_CONFIG.n_deltas):
     instance = generate_movielens(CONFIG)
     session = ProxSession(instance, session_id=session_id)
     session.select_by(genre=None)
-    for delta in generate_movielens_deltas(
-        instance, MovieLensDeltaConfig(n_deltas=2, seed=9)
-    ):
+    for delta in generate_movielens_deltas(instance, DELTA_CONFIG)[:n_ingested]:
         session.ingest(delta)
     return session
 
@@ -240,15 +241,70 @@ def test_cross_process_zero_copy_restore_is_bit_identical(request_, tmp_path):
     path = str(tmp_path / "session.snap")
     original = _run_child(_CHILD_BUILD, path, json.dumps(request_))
     restored = _run_child(_CHILD_RESTORE, path)
-    if _ir.ir_enabled():
-        assert restored["zero_copy"], "expected the zero-copy install path"
+    assert restored["zero_copy"], "expected the zero-copy install path"
     assert restored["fingerprint"] == original["fingerprint"]
+
+
+_CHILD_BUILD_ONE_DELTA = """
+import sys
+sys.path.insert(0, {src!r})
+from tests.prox.test_snapshot_differential import build_session
+
+build_session(n_ingested=1).snapshot(sys.argv[1])
+print('{{}}')
+"""
+
+_CHILD_REWRITE = """
+import json, sys
+sys.path.insert(0, {src!r})
+from tests.prox.test_snapshot_differential import (
+    CONFIG, DELTA_CONFIG, fingerprint,
+)
+from repro.datasets import generate_movielens, generate_movielens_deltas
+from repro.provenance import ir
+from repro.prox import ProxSession
+from repro.prox.summarization import SummarizationRequest
+
+path = sys.argv[1]
+session = ProxSession.restore(path)
+assert ir.GLOBAL_STORE.restored(), "expected the zero-copy install path"
+session.ingest(
+    generate_movielens_deltas(generate_movielens(CONFIG), DELTA_CONFIG)[1]
+)
+# Evict twice more: each snapshot rewrites the file the installed
+# store maps, and each one re-reads that store's monomial columns.
+for _ in range(2):
+    session.snapshot(path)
+    session.close()
+    session = ProxSession.restore(path)
+result = session.summarize(SummarizationRequest(**json.loads(sys.argv[2])), seed=13)
+print(json.dumps({{"fingerprint": fingerprint(result)}}))
+"""
+
+
+def test_resnapshot_over_a_mapped_snapshot_restores_bit_identically(tmp_path):
+    """Restore (zero-copy) → ingest → snapshot to the same path →
+    restore → snapshot → restore → summarize, in a pristine process,
+    matches a session that was never evicted.  Rewriting the snapshot
+    in place used to change the bytes under the installed store, so the
+    next snapshot wrote a corrupt arena and every later restore
+    failed."""
+    request_ = {"number_of_steps": 4, "carry": "on"}
+    control = build_session()
+    try:
+        expected = fingerprint(
+            control.summarize(SummarizationRequest(**request_), seed=13)
+        )
+    finally:
+        control.close()
+    path = str(tmp_path / "session.snap")
+    _run_child(_CHILD_BUILD_ONE_DELTA, path)
+    rewritten = _run_child(_CHILD_REWRITE, path, json.dumps(request_))
+    assert rewritten["fingerprint"] == json.loads(json.dumps(expected))
 
 
 def test_arena_snapshot_roundtrip_is_byte_identical(tmp_path):
     """Golden: snapshot → mmap-load → snapshot reproduces every byte."""
-    if not _ir.ir_enabled():
-        pytest.skip("arena snapshots need the interned IR")
     session = build_session()
     try:
         session.summarize(SummarizationRequest(number_of_steps=3))
